@@ -7,9 +7,10 @@ values inside the engine step loop.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, Optional, TypeVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -55,8 +56,80 @@ class DatasetError(DtsError):
     """A dataset file could not be parsed."""
 
 
+R = TypeVar("R", bound="JsonRecord")
+
+
+class JsonRecord:
+    """Mixin for dataclasses whose JSON form has one key per field, in field order.
+
+    Writing turns tuples and ndarrays into lists, frozensets into sorted
+    lists and nested records into dicts. Reading coerces each value to its
+    field's annotated type: ``int``, ``float``, ``str``, ``bool``,
+    ``Optional[X]``, ``tuple[X, ...]``, ``frozenset[X]`` or a nested record;
+    a value of any other type is passed on for ``__post_init__`` to check.
+    An absent field keeps its default, an absent required field raises
+    ``KeyError`` and unknown keys are ignored.
+    """
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return _json_dict(self)
+
+    @classmethod
+    def from_json_dict(cls: type[R], data: dict[str, Any]) -> R:
+        values = {}
+        for name, _, read, required in _json_fields(cls):
+            if name in data:
+                values[name] = read(data[name])
+            elif required:
+                raise KeyError(name)
+        return cls(**values)
+
+
+def _json_dict(record: JsonRecord, skip: Optional[str] = None) -> dict[str, Any]:
+    data = {}
+    for name, write, _, _ in _json_fields(type(record)):
+        if name != skip:
+            value = getattr(record, name)
+            data[name] = value if write is None else write(value)
+    return data
+
+
+@functools.cache
+def _json_fields(cls: type) -> tuple[tuple[str, Optional[Callable], Callable, bool], ...]:
+    """(name, writer, reader, required) per field; type hints are resolved once per class."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, *_codec(hints[f.name]), f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
+
+
+def _codec(hint: Any) -> tuple[Optional[Callable], Callable]:
+    """Writer and reader for one annotated type; a writer of None keeps the value as it is."""
+    origin, args = get_origin(hint), get_args(hint)
+    if type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        write, read = _codec(inner)
+        return (None if write is None else _or_none(write)), _or_none(read)
+    if origin is tuple:
+        write, read = _codec(args[0])
+        return (list if write is None else lambda v: [write(x) for x in v]), lambda v: tuple(map(read, v))
+    if origin is frozenset:
+        read = _codec(args[0])[1]
+        return sorted, lambda v: frozenset(map(read, v))
+    if isinstance(hint, type) and issubclass(hint, JsonRecord):
+        return (lambda v: v.to_json_dict()), hint.from_json_dict
+    if hint is np.ndarray:
+        return np.ndarray.tolist, lambda v: v
+    return None, (hint if hint in (int, float, str, bool) else lambda v: v)
+
+
+def _or_none(coerce: Callable) -> Callable:
+    return lambda v: None if v is None else coerce(v)
+
+
 @dataclass(frozen=True, eq=False)
-class TokenDistribution:
+class TokenDistribution(JsonRecord):
     """Probability vector over a vocabulary at one decoding position.
 
     Entries are non-negative and sum to 1 within ``PROB_SUM_TOL``. The
@@ -88,16 +161,9 @@ class TokenDistribution:
             return NotImplemented
         return np.array_equal(self.probs, other.probs)
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"probs": [float(p) for p in self.probs]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "TokenDistribution":
-        return cls(np.asarray(data["probs"], dtype=np.float64))
-
 
 @dataclass(frozen=True)
-class BranchState:
+class BranchState(JsonRecord):
     """One reasoning path: its tokens, score and lineage."""
 
     tokens: tuple[TokenId, ...]
@@ -116,30 +182,9 @@ class BranchState:
         if self.branch_id < 0:
             raise InvalidInputError("branch_id must be non-negative")
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "tokens": list(self.tokens),
-            "cumulative_logprob": self.cumulative_logprob,
-            "finished": self.finished,
-            "branch_id": self.branch_id,
-            "parent_branch_id": self.parent_branch_id,
-            "fork_step": self.fork_step,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "BranchState":
-        return cls(
-            tokens=tuple(data["tokens"]),
-            cumulative_logprob=float(data["cumulative_logprob"]),
-            finished=bool(data["finished"]),
-            branch_id=int(data["branch_id"]),
-            parent_branch_id=data.get("parent_branch_id"),
-            fork_step=data.get("fork_step"),
-        )
-
 
 @dataclass(frozen=True)
-class Frontier:
+class Frontier(JsonRecord):
     """The set of active branches at one step, all unfinished ones of equal length."""
 
     step: int
@@ -161,24 +206,9 @@ class Frontier:
         if self.next_branch_id <= max(ids):
             raise InvalidInputError("next_branch_id must exceed every existing branch id")
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "step": self.step,
-            "branches": [b.to_json_dict() for b in self.branches],
-            "next_branch_id": self.next_branch_id,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "Frontier":
-        return cls(
-            step=int(data["step"]),
-            branches=tuple(BranchState.from_json_dict(b) for b in data["branches"]),
-            next_branch_id=int(data["next_branch_id"]),
-        )
-
 
 @dataclass(frozen=True)
-class DtsConfig:
+class DtsConfig(JsonRecord):
     """Decoding parameters.
 
     ``tau`` is the entropy threshold in nats; ``tau = math.inf`` means never
@@ -213,32 +243,9 @@ class DtsConfig:
         if any(t < 0 for t in self.end_tokens):
             raise InvalidInputError("end tokens must be non-negative ids")
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "tau": self.tau,
-            "k": self.k,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "max_branches": self.max_branches,
-            "seed": self.seed,
-            "end_tokens": sorted(self.end_tokens),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "DtsConfig":
-        return cls(
-            tau=float(data["tau"]),
-            k=int(data["k"]),
-            temperature=float(data["temperature"]),
-            max_tokens=int(data["max_tokens"]),
-            max_branches=int(data.get("max_branches", 32)),
-            seed=int(data.get("seed", 0)),
-            end_tokens=frozenset(data["end_tokens"]),
-        )
-
 
 @dataclass(frozen=True)
-class StepTrace:
+class StepTrace(JsonRecord):
     """What happened to one branch at one step: entropy seen, fanned out or not."""
 
     step: int
@@ -254,28 +261,9 @@ class StepTrace:
         if not self.branched and len(self.chosen_tokens) != 1:
             raise InvalidInputError("a non-branching trace records exactly one token")
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "step": self.step,
-            "branch_id": self.branch_id,
-            "entropy": self.entropy,
-            "branched": self.branched,
-            "chosen_tokens": list(self.chosen_tokens),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "StepTrace":
-        return cls(
-            step=int(data["step"]),
-            branch_id=int(data["branch_id"]),
-            entropy=float(data["entropy"]),
-            branched=bool(data["branched"]),
-            chosen_tokens=tuple(data["chosen_tokens"]),
-        )
-
 
 @dataclass(frozen=True)
-class RunResult:
+class RunResult(JsonRecord):
     """Outcome of one decoding run."""
 
     output: BranchState
@@ -289,24 +277,5 @@ class RunResult:
         object.__setattr__(self, "traces", tuple(self.traces))
 
     def to_json_dict(self, include_traces: bool = True) -> dict[str, Any]:
-        data: dict[str, Any] = {
-            "output": self.output.to_json_dict(),
-            "terminated": self.terminated,
-            "steps_executed": self.steps_executed,
-            "peak_frontier_size": self.peak_frontier_size,
-            "total_branch_events": self.total_branch_events,
-        }
-        if include_traces:
-            data["traces"] = [t.to_json_dict() for t in self.traces]
-        return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "RunResult":
-        return cls(
-            output=BranchState.from_json_dict(data["output"]),
-            terminated=bool(data["terminated"]),
-            steps_executed=int(data["steps_executed"]),
-            peak_frontier_size=int(data["peak_frontier_size"]),
-            total_branch_events=int(data["total_branch_events"]),
-            traces=tuple(StepTrace.from_json_dict(t) for t in data.get("traces", [])),
-        )
+        # the traces are left out before encoding: an untraced dump costs nothing per trace
+        return _json_dict(self, skip=None if include_traces else "traces")

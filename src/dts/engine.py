@@ -133,11 +133,11 @@ def select_result(frontier: Frontier, outcome: EarlyStopOutcome) -> BranchState:
     return min(winners, key=lambda b: (-b.cumulative_logprob, b.branch_id))
 
 
-def _validate_run_inputs(provider, prompt: Sequence[TokenId], config: DtsConfig, check_k: bool):
+def _validate_run_inputs(provider, prompt: Sequence[TokenId], config: DtsConfig):
     for t in prompt:
         if not 0 <= int(t) < provider.vocab_size:
             raise InvalidInputError(f"prompt token {t} outside vocabulary of size {provider.vocab_size}")
-    if check_k and config.k > provider.vocab_size:
+    if config.k > provider.vocab_size:
         raise InvalidInputError(f"k={config.k} exceeds vocabulary size {provider.vocab_size}")
 
 
@@ -167,7 +167,7 @@ def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) ->
     from ``config.seed`` is used.
     """
     prompt = tuple(int(t) for t in prompt)
-    _validate_run_inputs(provider, prompt, config, check_k=True)
+    _validate_run_inputs(provider, prompt, config)
     if rng is None:
         rng = SplitMix64(config.seed)
 
@@ -229,7 +229,7 @@ def run_standard(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=Non
     until an end token or the length cap.
     """
     prompt = tuple(int(t) for t in prompt)
-    _validate_run_inputs(provider, prompt, config, check_k=True)
+    _validate_run_inputs(provider, prompt, config)
     if rng is None:
         rng = SplitMix64(config.seed)
 

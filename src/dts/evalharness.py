@@ -14,11 +14,12 @@ import re
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
-from .core import DatasetError, DtsConfig, InvalidInputError, TokenId
+from .core import DatasetError, DtsConfig, InvalidInputError, JsonRecord, TokenId
 from .engine import run_dts, run_standard
 
 METHODS = ("dts", "standard")
@@ -33,21 +34,14 @@ _INT_RE = re.compile(r"(?<![\w.])-?\d+(?![\w.])")
 
 
 @dataclass(frozen=True)
-class EvalItem:
+class EvalItem(JsonRecord):
     id: str
     prompt: str
     answer: str
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"id": self.id, "prompt": self.prompt, "answer": self.answer}
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "EvalItem":
-        return cls(id=str(data["id"]), prompt=str(data["prompt"]), answer=str(data["answer"]))
-
 
 @dataclass(frozen=True)
-class EvalRecord:
+class EvalRecord(JsonRecord):
     item_id: str
     seed: int
     method: str
@@ -58,48 +52,13 @@ class EvalRecord:
     wall_time: float
     error: Optional[str] = None
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "item_id": self.item_id,
-            "seed": self.seed,
-            "method": self.method,
-            "correct": self.correct,
-            "length": self.length,
-            "terminated": self.terminated,
-            "repetition": self.repetition,
-            "wall_time": self.wall_time,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "EvalRecord":
-        return cls(
-            item_id=str(data["item_id"]),
-            seed=int(data["seed"]),
-            method=str(data["method"]),
-            correct=bool(data["correct"]),
-            length=int(data["length"]),
-            terminated=bool(data["terminated"]),
-            repetition=bool(data["repetition"]),
-            wall_time=float(data["wall_time"]),
-            error=data.get("error"),
-        )
-
 
 @dataclass(frozen=True)
-class MethodMetrics:
+class MethodMetrics(JsonRecord):
     runs: int
     accuracy: float
     mean_length: float
     repetition_rate: float
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "runs": self.runs,
-            "accuracy": self.accuracy,
-            "mean_length": self.mean_length,
-            "repetition_rate": self.repetition_rate,
-        }
 
 
 @dataclass(frozen=True)
@@ -280,31 +239,14 @@ def run_eval(
     tasks = [(item, seed, method) for item in dataset for seed in seeds for method in method_list]
 
     records: list[EvalRecord] = []
-    writer = open(out_path, "w", encoding="utf-8") if out_path is not None else None
-    try:
-        if jobs <= 1:
-            produced = (_evaluate_one(item, seed, method, provider, config)
-                        for item, seed, method in tasks)
-            for record in produced:
-                records.append(record)
-                if writer is not None:
-                    writer.write(json.dumps(record.to_json_dict()) + "\n")
-                    writer.flush()
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(_evaluate_one, item, seed, method, provider, config)
-                    for item, seed, method in tasks
-                ]
-                for future in futures:
-                    record = future.result()
-                    records.append(record)
-                    if writer is not None:
-                        writer.write(json.dumps(record.to_json_dict()) + "\n")
-                        writer.flush()
-    finally:
-        if writer is not None:
-            writer.close()
+    with ExitStack() as stack:
+        writer = stack.enter_context(open(out_path, "w", encoding="utf-8")) if out_path is not None else None
+        mapper = stack.enter_context(ThreadPoolExecutor(max_workers=jobs)).map if jobs > 1 else map
+        for record in mapper(lambda task: _evaluate_one(*task, provider, config), tasks):
+            records.append(record)
+            if writer is not None:
+                writer.write(json.dumps(record.to_json_dict()) + "\n")
+                writer.flush()
     return records
 
 
@@ -357,10 +299,7 @@ def selection_strategy_analysis(
     for record in records:
         groups.setdefault(record.item_id, []).append(record)
     selected: list[EvalRecord] = []
-    for item_id, rows in groups.items():
-        if not rows:
-            warnings.warn(f"item {item_id} has no records; skipped")
-            continue
+    for rows in groups.values():
         if strategy == "mean":
             selected.extend(rows)
         elif strategy == "shortest":

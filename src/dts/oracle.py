@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
-from .core import BranchState, DtsConfig, InvalidInputError, ResourceLimitError, TokenId
+from .core import BranchState, DtsConfig, InvalidInputError, JsonRecord, ResourceLimitError, TokenId
 from .engine import run_dts
 
 DEFAULT_WORK_LIMIT = 10_000_000
@@ -20,7 +20,7 @@ WORK_LIMIT_ENV = "DTS_WORK_LIMIT"
 
 
 @dataclass(frozen=True)
-class EnumeratedPath:
+class EnumeratedPath(JsonRecord):
     """A complete root-to-leaf sequence and its exact probability."""
 
     tokens: tuple[TokenId, ...]
@@ -33,17 +33,6 @@ class EnumeratedPath:
             raise InvalidInputError("path probability must lie in (0, 1]")
         if self.length != len(self.tokens):
             raise InvalidInputError("length must equal the token count")
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"tokens": list(self.tokens), "probability": self.probability, "length": self.length}
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "EnumeratedPath":
-        return cls(
-            tokens=tuple(data["tokens"]),
-            probability=float(data["probability"]),
-            length=int(data["length"]),
-        )
 
 
 def _effective_work_limit(work_limit: int | None) -> int:

@@ -40,6 +40,11 @@ def test_item_and_record_json_roundtrip():
     assert EvalRecord.from_json_dict(json.loads(json.dumps(rec.to_json_dict()))) == rec
 
 
+def test_record_reader_ignores_unknown_keys():
+    rec = record(item_id="q7", seed=3)
+    assert EvalRecord.from_json_dict(dict(rec.to_json_dict(), note="extra")) == rec
+
+
 class TestLoadDataset:
     def write(self, tmp_path, lines):
         path = tmp_path / "data.jsonl"
@@ -66,6 +71,18 @@ class TestLoadDataset:
         path = self.write(tmp_path, [
             json.dumps({"id": "a", "prompt": "p", "answer": "1"}),
             "{not json",
+        ])
+        with pytest.raises(DatasetError, match="line 2"):
+            load_dataset(path)
+
+    def test_numeric_id_and_answer_read_as_strings(self, tmp_path):
+        path = self.write(tmp_path, [json.dumps({"id": 7, "prompt": "p", "answer": 42})])
+        assert load_dataset(path) == [EvalItem("7", "p", "42")]
+
+    def test_missing_answer_reports_line_number(self, tmp_path):
+        path = self.write(tmp_path, [
+            json.dumps({"id": "a", "prompt": "p", "answer": "1"}),
+            json.dumps({"id": "b", "prompt": "q"}),
         ])
         with pytest.raises(DatasetError, match="line 2"):
             load_dataset(path)
