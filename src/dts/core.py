@@ -1,6 +1,6 @@
 """Shared domain types for the decoding engine.
 
-Token sequences, frontiers, run configuration and run results. All values
+Token sequences, branches, run configuration and run results. All values
 are immutable after construction; mutation happens only by building new
 values inside the engine step loop.
 """
@@ -26,10 +26,6 @@ class DtsError(Exception):
 
 class InvalidInputError(DtsError, ValueError):
     """A caller-supplied value violates a documented precondition."""
-
-
-class LogicError(DtsError):
-    """An operation was invoked in a state it does not support."""
 
 
 class ProviderError(DtsError):
@@ -67,6 +63,8 @@ class JsonRecord:
     field's annotated type: ``int``, ``float``, ``str``, ``bool``,
     ``Optional[X]``, ``tuple[X, ...]``, ``frozenset[X]`` or a nested record;
     a value of any other type is passed on for ``__post_init__`` to check.
+    A ``bool`` field accepts only ``true`` and ``false``, and a ``str`` field
+    only a string or a number; anything else raises ``InvalidInputError``.
     An absent field keeps its default, an absent required field raises
     ``KeyError`` and unknown keys are ignored.
     """
@@ -121,11 +119,28 @@ def _codec(hint: Any) -> tuple[Optional[Callable], Callable]:
         return (lambda v: v.to_json_dict()), hint.from_json_dict
     if hint is np.ndarray:
         return np.ndarray.tolist, lambda v: v
-    return None, (hint if hint in (int, float, str, bool) else lambda v: v)
+    if hint is bool:
+        return None, _read_bool
+    if hint is str:
+        return None, _read_str
+    return None, (hint if hint in (int, float) else lambda v: v)
 
 
 def _or_none(coerce: Callable) -> Callable:
     return lambda v: None if v is None else coerce(v)
+
+
+def _read_bool(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise InvalidInputError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _read_str(value: Any) -> str:
+    # numbers are read as strings: AIME answers and some dataset ids are integers
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise InvalidInputError(f"expected a string or a number, got {value!r}")
+    return str(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,30 +196,6 @@ class BranchState(JsonRecord):
             raise InvalidInputError("cumulative log-probability cannot be positive")
         if self.branch_id < 0:
             raise InvalidInputError("branch_id must be non-negative")
-
-
-@dataclass(frozen=True)
-class Frontier(JsonRecord):
-    """The set of active branches at one step, all unfinished ones of equal length."""
-
-    step: int
-    branches: tuple[BranchState, ...]
-    next_branch_id: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-        if not self.branches:
-            raise InvalidInputError("frontier must hold at least one branch")
-        ids = [b.branch_id for b in self.branches]
-        if len(set(ids)) != len(ids):
-            raise InvalidInputError("branch ids within a frontier must be unique")
-        for b in self.branches:
-            if not b.finished and len(b.tokens) != self.step:
-                raise InvalidInputError(
-                    f"unfinished branch {b.branch_id} has {len(b.tokens)} tokens at step {self.step}"
-                )
-        if self.next_branch_id <= max(ids):
-            raise InvalidInputError("next_branch_id must exceed every existing branch id")
 
 
 @dataclass(frozen=True)

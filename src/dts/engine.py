@@ -1,24 +1,23 @@
-"""Frontier expansion, budget enforcement, early stopping and the two
-decoding loops: the branching tree search and the single-path baseline.
+"""Frontier expansion, budget enforcement and the two decoding loops: the
+branching tree search and the single-path baseline.
 
 The engine advances all branches in lockstep, one token per step, so every
-unfinished branch at step t holds exactly t tokens. The first branch to emit
-an end token therefore carries a shortest completed path in the sketched
-tree, and the run stops there.
+branch at step t holds exactly t tokens. The first branch to emit an end
+token therefore carries a shortest completed path in the sketched tree, and
+the run stops there. The frontier is a list of live branches in branch-id
+order; the budget demotes forks and never drops a branch, so it only grows
+and its ids are always ``0 .. len - 1``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .branching import BranchDecision, branch_function, entropy, sample_token
 from .core import (
     BranchState,
     DtsConfig,
-    Frontier,
     InvalidInputError,
-    LogicError,
     ProviderError,
     RunResult,
     StepTrace,
@@ -27,50 +26,33 @@ from .core import (
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class EarlyStopOutcome:
-    """Which branches, if any, finished at the current step."""
-
-    stopped: bool
-    winners: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "winners", tuple(self.winners))
-        if self.stopped != bool(self.winners):
-            raise InvalidInputError("stopped must hold exactly when winners is non-empty")
-
-
 def expand_frontier(
-    frontier: Frontier,
+    branches: Sequence[BranchState],
     decisions: Sequence[BranchDecision],
+    step: int,
     end_tokens: frozenset[TokenId],
-) -> Frontier:
-    """Replace each unfinished branch by one child per decided token.
+) -> list[BranchState]:
+    """Replace each branch by one child per decided token.
 
+    ``branches`` is the frontier in branch-id order with ids ``0 .. len - 1``.
     The first child of a decision keeps the parent's branch id; later
-    children get fresh ids and record the parent id and the step at which
-    the fork occurred. A child whose new token is an end token is marked
-    finished. Finished branches already in the frontier pass through
-    unchanged.
+    children get the fresh ids ``len(branches), len(branches) + 1, ...`` and
+    record the parent id and ``step``, the step at which the fork occurred.
+    The forks follow the kept children, so the result is in branch-id order
+    too. A child whose new token is an end token is marked finished.
     """
-    active = [b for b in frontier.branches if not b.finished]
-    if len(decisions) != len(active):
-        raise InvalidInputError(
-            f"{len(decisions)} decisions for {len(active)} unfinished branches"
-        )
-    children = [b for b in frontier.branches if b.finished]
-    next_id = frontier.next_branch_id
-    for branch, decision in zip(active, decisions):
+    if len(decisions) != len(branches):
+        raise InvalidInputError(f"{len(decisions)} decisions for {len(branches)} branches")
+    kept: list[BranchState] = []
+    forks: list[BranchState] = []
+    for branch, decision in zip(branches, decisions):
         for j, (token, logprob) in enumerate(zip(decision.tokens, decision.logprobs)):
             if j == 0:
-                branch_id = branch.branch_id
-                parent_id = branch.parent_branch_id
-                fork_step = branch.fork_step
+                children, branch_id = kept, branch.branch_id
+                parent_id, fork_step = branch.parent_branch_id, branch.fork_step
             else:
-                branch_id = next_id
-                next_id += 1
-                parent_id = branch.branch_id
-                fork_step = frontier.step
+                children, branch_id = forks, len(branches) + len(forks)
+                parent_id, fork_step = branch.branch_id, step
             children.append(
                 BranchState(
                     tokens=branch.tokens + (token,),
@@ -81,8 +63,7 @@ def expand_frontier(
                     fork_step=fork_step,
                 )
             )
-    children.sort(key=lambda b: b.branch_id)
-    return Frontier(step=frontier.step + 1, branches=tuple(children), next_branch_id=next_id)
+    return kept + forks
 
 
 def apply_budget(
@@ -119,18 +100,9 @@ def apply_budget(
     return result
 
 
-def check_early_stop(frontier: Frontier) -> EarlyStopOutcome:
-    """Collect every branch that has emitted an end token at this step."""
-    winners = tuple(b.branch_id for b in frontier.branches if b.finished)
-    return EarlyStopOutcome(stopped=bool(winners), winners=winners)
-
-
-def select_result(frontier: Frontier, outcome: EarlyStopOutcome) -> BranchState:
-    """Among finished branches, pick the most probable; ties go to the lowest id."""
-    if not outcome.stopped:
-        raise LogicError("select_result requires a stopped outcome")
-    winners = [b for b in frontier.branches if b.branch_id in set(outcome.winners)]
-    return min(winners, key=lambda b: (-b.cumulative_logprob, b.branch_id))
+def select_result(branches: Sequence[BranchState]) -> BranchState:
+    """The most probable branch; ties go to the lowest id."""
+    return min(branches, key=lambda b: (-b.cumulative_logprob, b.branch_id))
 
 
 def _validate_run_inputs(provider, prompt: Sequence[TokenId], config: DtsConfig):
@@ -156,12 +128,13 @@ def _distributions_at(provider, prompt, branches, step):
 def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) -> RunResult:
     """Entropy-gated tree search with lockstep expansion and early stop.
 
-    Each step batches one provider call over all unfinished branches,
-    decides per branch whether to fan out, enforces the frontier budget,
-    expands, and stops as soon as any branch finishes. Uniform draws are
-    consumed in ascending branch-id order, one per non-branching decision.
-    If no branch finishes within ``config.max_tokens`` steps the most
-    probable branch is returned with ``terminated=False``.
+    Each step batches one provider call over all branches, decides per
+    branch whether to fan out, enforces the frontier budget, expands, and
+    stops as soon as any child finishes, returning the most probable
+    finished child. Uniform draws are consumed in ascending branch-id
+    order, one per non-branching decision. If no branch finishes within
+    ``config.max_tokens`` steps the most probable branch is returned with
+    ``terminated=False``.
 
     ``rng`` is an instrumentation hook; by default a fresh stream seeded
     from ``config.seed`` is used.
@@ -171,52 +144,39 @@ def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) ->
     if rng is None:
         rng = SplitMix64(config.seed)
 
-    root = BranchState(tokens=(), cumulative_logprob=0.0, finished=False, branch_id=0)
-    frontier = Frontier(step=0, branches=(root,), next_branch_id=1)
+    branches = [BranchState(tokens=(), cumulative_logprob=0.0, finished=False, branch_id=0)]
+    finished: list[BranchState] = []
     traces: list[StepTrace] = []
-    peak = 1
     branch_events = 0
 
-    while frontier.step < config.max_tokens:
-        active = [b for b in frontier.branches if not b.finished]
-        dists = _distributions_at(provider, prompt, active, frontier.step)
-        # active is sorted by branch_id, which fixes the rng draw order
+    for step in range(config.max_tokens):
+        dists = _distributions_at(provider, prompt, branches, step)
+        # branches are in branch-id order, which fixes the rng draw order
         decisions = [branch_function(d, config, rng) for d in dists]
-        order = sorted(
-            range(len(active)),
-            key=lambda i: (-active[i].cumulative_logprob, active[i].branch_id),
-        )
-        decisions = apply_budget(len(active), decisions, order, config.max_branches)
+        order = sorted(range(len(branches)), key=lambda i: (-branches[i].cumulative_logprob, i))
+        decisions = apply_budget(len(branches), decisions, order, config.max_branches)
         branch_events += sum(1 for d in decisions if d.branched)
         traces.extend(
             StepTrace(
-                step=frontier.step,
+                step=step,
                 branch_id=b.branch_id,
                 entropy=d.entropy,
                 branched=d.branched,
                 chosen_tokens=d.tokens,
             )
-            for b, d in zip(active, decisions)
+            for b, d in zip(branches, decisions)
         )
-        frontier = expand_frontier(frontier, decisions, config.end_tokens)
-        peak = max(peak, len(frontier.branches))
-        outcome = check_early_stop(frontier)
-        if outcome.stopped:
-            return RunResult(
-                output=select_result(frontier, outcome),
-                terminated=True,
-                steps_executed=frontier.step,
-                peak_frontier_size=peak,
-                total_branch_events=branch_events,
-                traces=tuple(traces),
-            )
+        branches = expand_frontier(branches, decisions, step, config.end_tokens)
+        finished = [b for b in branches if b.finished]
+        if finished:
+            break
 
-    fallback = min(frontier.branches, key=lambda b: (-b.cumulative_logprob, b.branch_id))
+    # the frontier never shrinks, so its final size is its peak
     return RunResult(
-        output=fallback,
-        terminated=False,
-        steps_executed=frontier.step,
-        peak_frontier_size=peak,
+        output=select_result(finished or branches),
+        terminated=bool(finished),
+        steps_executed=step + 1,
+        peak_frontier_size=len(branches),
         total_branch_events=branch_events,
         traces=tuple(traces),
     )

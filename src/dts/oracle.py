@@ -64,9 +64,15 @@ def enumerate_tree(
     end_tokens = provider.end_tokens
     paths: list[EnumeratedPath] = []
     calls = 0
-
-    def visit(tokens: tuple[TokenId, ...], prob: float):
-        nonlocal calls
+    # (tokens, probability, ends): a prefix to expand, or a complete path
+    # when ends is set. Children are pushed in reverse token order, so they
+    # pop in the depth-first, ascending-token order of a recursive walk.
+    stack: list[tuple[tuple[TokenId, ...], float, bool]] = [((), 1.0, False)]
+    while stack:
+        tokens, prob, ends = stack.pop()
+        if ends:
+            paths.append(EnumeratedPath(tokens=tokens, probability=prob, length=len(tokens)))
+            continue
         calls += 1
         if calls > limit:
             raise ResourceLimitError(
@@ -74,6 +80,7 @@ def enumerate_tree(
             )
         state = BranchState(tokens=tokens, cumulative_logprob=0.0, finished=False, branch_id=0)
         dist = provider.next_distributions(prompt, [state])[0]
+        children = []
         for token in range(provider.vocab_size):
             p = float(dist.probs[token])
             if p <= 0.0:
@@ -82,12 +89,9 @@ def enumerate_tree(
             if path_prob < prob_floor:
                 continue
             child = tokens + (token,)
-            if token in end_tokens:
-                paths.append(EnumeratedPath(tokens=child, probability=path_prob, length=len(child)))
-            elif len(child) < max_len:
-                visit(child, path_prob)
-
-    visit((), 1.0)
+            if token in end_tokens or len(child) < max_len:
+                children.append((child, path_prob, token in end_tokens))
+        stack.extend(reversed(children))
     return paths
 
 

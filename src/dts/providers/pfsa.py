@@ -22,6 +22,7 @@ from .base import DistributionProvider
 
 State = Hashable
 _EMISSION_SUM_TOL = 1e-9
+_UNSEEN = object()
 
 
 class PfsaModel(DistributionProvider):
@@ -66,18 +67,20 @@ class PfsaModel(DistributionProvider):
         self._state_cache: dict[tuple[TokenId, ...], State] = {(): initial_state}
 
     def state_for(self, tokens: tuple[TokenId, ...]) -> State:
-        cached = self._state_cache.get(tokens)
-        if cached is not None:
-            return cached
-        previous = self.state_for(tokens[:-1])
-        token = tokens[-1]
-        try:
-            state = self.transitions[previous][token]
-        except KeyError:
-            raise InvalidInputError(
-                f"no transition from state {previous!r} on token {token}"
-            ) from None
-        self._state_cache[tokens] = state
+        cache = self._state_cache
+        known = len(tokens)
+        state = cache.get(tokens, _UNSEEN)
+        while state is _UNSEEN:
+            known -= 1
+            state = cache.get(tokens[:known], _UNSEEN)
+        for i in range(known, len(tokens)):
+            try:
+                state = self.transitions[state][tokens[i]]
+            except KeyError:
+                raise InvalidInputError(
+                    f"no transition from state {state!r} on token {tokens[i]}"
+                ) from None
+            cache[tokens[: i + 1]] = state
         return state
 
     def distribution(self, prompt, tokens) -> TokenDistribution:

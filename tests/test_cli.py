@@ -124,6 +124,17 @@ class TestEvalAndReport:
         assert len(scatter.read_text().strip().splitlines()) == 13
         assert (tmp_path / "scatter.fit.json").exists()
 
+    def test_report_rejects_string_bool(self, capsys, tmp_path):
+        line = {
+            "item_id": "q1", "seed": 0, "method": "dts", "correct": "false", "length": 3,
+            "terminated": True, "repetition": False, "wall_time": 0.1,
+        }
+        records_path = tmp_path / "records.jsonl"
+        records_path.write_text(json.dumps(line) + "\n")
+        code, out, err = run_cli(capsys, ["report", "--records", str(records_path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "'false'" in err
+
 
 class TestOracle:
     def test_jsonl_output(self, capsys, tmp_path, scripted_file):

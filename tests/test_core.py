@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from dts import (
     BranchState,
     DtsConfig,
-    Frontier,
     InvalidInputError,
     RunResult,
     StepTrace,
@@ -113,34 +112,6 @@ def test_run_result_traces_optional_in_json():
     )
     assert "traces" not in result.to_json_dict(include_traces=False)
     assert len(result.to_json_dict()["traces"]) == 1
-
-
-def test_frontier_roundtrip_and_lockstep():
-    branches = (
-        BranchState((7, 8), -1.0, False, 0),
-        BranchState((7, 9), -2.0, False, 3, parent_branch_id=0, fork_step=1),
-    )
-    frontier = Frontier(step=2, branches=branches, next_branch_id=4)
-    assert _roundtrip(frontier, Frontier) == frontier
-
-
-def test_frontier_rejects_wrong_length():
-    with pytest.raises(InvalidInputError):
-        Frontier(step=2, branches=(BranchState((7,), -1.0, False, 0),), next_branch_id=1)
-
-
-def test_frontier_rejects_duplicate_ids():
-    branches = (BranchState((1,), -1.0, False, 0), BranchState((2,), -1.0, False, 0))
-    with pytest.raises(InvalidInputError):
-        Frontier(step=1, branches=branches, next_branch_id=1)
-
-
-def test_frontier_allows_finished_branch_of_other_length():
-    branches = (
-        BranchState((1, 5), -1.0, True, 0),
-        BranchState((1, 2, 3), -2.0, False, 1),
-    )
-    assert Frontier(step=3, branches=branches, next_branch_id=2).step == 3
 
 
 def test_distribution_validation():

@@ -1,20 +1,19 @@
+import dataclasses
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dts import (
     BranchDecision,
     BranchState,
     DtsConfig,
-    EarlyStopOutcome,
-    Frontier,
     InvalidInputError,
-    LogicError,
     ProviderError,
     ScriptedModel,
     SplitMix64,
     apply_budget,
-    check_early_stop,
     expand_frontier,
     run_dts,
     run_standard,
@@ -27,6 +26,7 @@ from support import (
     TWO_FORK_WINNER,
     one_hot_logits,
     random_ngram,
+    random_pfsa,
     replay_steps,
     two_fork_scripted,
 )
@@ -61,34 +61,43 @@ def forked(*tokens, entropy=1.5):
     )
 
 
+ROOT = BranchState((), 0.0, False, 0)
+
+
 class TestExpandFrontier:
     def test_single_path_growth(self):
-        root = Frontier(step=0, branches=(BranchState((), 0.0, False, 0),), next_branch_id=1)
-        out = expand_frontier(root, [sampled(3)], END)
-        assert out.step == 1
-        assert [b.tokens for b in out.branches] == [(3,)]
-        assert not out.branches[0].finished
+        out = expand_frontier([ROOT], [sampled(3)], 0, END)
+        assert [b.tokens for b in out] == [(3,)]
+        assert not out[0].finished
 
     def test_fork_assigns_lineage(self):
-        frontier = Frontier(step=1, branches=(BranchState((8,), -0.2, False, 0),), next_branch_id=1)
-        out = expand_frontier(frontier, [forked(2, 9)], END)
-        first, second = out.branches
+        out = expand_frontier([BranchState((8,), -0.2, False, 0)], [forked(2, 9)], 1, END)
+        first, second = out
         assert first.tokens == (8, 2) and first.branch_id == 0
         assert first.parent_branch_id is None and first.fork_step is None
         assert second.tokens == (8, 9) and second.branch_id == 1
         assert second.parent_branch_id == 0 and second.fork_step == 1
 
+    def test_forks_follow_kept_children_in_id_order(self):
+        branches = [
+            BranchState((8,), -0.2, False, 0),
+            BranchState((9,), -0.3, False, 1, parent_branch_id=0, fork_step=0),
+        ]
+        out = expand_frontier(branches, [forked(2, 3), forked(4, 5, 6)], 1, END)
+        assert [b.branch_id for b in out] == [0, 1, 2, 3, 4]
+        assert [b.tokens for b in out] == [(8, 2), (9, 4), (8, 3), (9, 5), (9, 6)]
+        assert [b.parent_branch_id for b in out] == [None, 0, 0, 1, 1]
+        assert [b.fork_step for b in out] == [None, 0, 1, 1, 1]
+
     def test_logprobs_accumulate(self):
-        frontier = Frontier(step=1, branches=(BranchState((8,), -0.25, False, 0),), next_branch_id=1)
         decision = BranchDecision(entropy=1.0, branched=True, tokens=(2, 9), logprobs=(-0.5, -1.5))
-        out = expand_frontier(frontier, [decision], END)
-        assert out.branches[0].cumulative_logprob == pytest.approx(-0.75)
-        assert out.branches[1].cumulative_logprob == pytest.approx(-1.75)
+        out = expand_frontier([BranchState((8,), -0.25, False, 0)], [decision], 1, END)
+        assert out[0].cumulative_logprob == pytest.approx(-0.75)
+        assert out[1].cumulative_logprob == pytest.approx(-1.75)
 
     def test_end_token_marks_finished(self):
-        frontier = Frontier(step=1, branches=(BranchState((8,), -0.2, False, 0),), next_branch_id=1)
-        out = expand_frontier(frontier, [sampled(5)], END)
-        assert out.branches[0].finished
+        out = expand_frontier([BranchState((8,), -0.2, False, 0)], [sampled(5)], 1, END)
+        assert out[0].finished
 
     def test_two_fork_fixture_sizes(self):
         # two high-entropy positions with K=2: 2 branches after the first
@@ -96,22 +105,22 @@ class TestExpandFrontier:
         provider = two_fork_scripted()
         cfg = config()
         rng = SplitMix64(0)
-        frontier = Frontier(step=0, branches=(BranchState((), 0.0, False, 0),), next_branch_id=1)
+        branches = [ROOT]
         sizes = []
         from dts.branching import branch_function
 
-        while frontier.step < cfg.max_tokens and not check_early_stop(frontier).stopped:
-            active = [b for b in frontier.branches if not b.finished]
-            dists = provider.next_distributions((), active)
+        for step in range(cfg.max_tokens):
+            dists = provider.next_distributions((), branches)
             decisions = [branch_function(d, cfg, rng) for d in dists]
-            frontier = expand_frontier(frontier, decisions, cfg.end_tokens)
-            sizes.append(len(frontier.branches))
+            branches = expand_frontier(branches, decisions, step, cfg.end_tokens)
+            sizes.append(len(branches))
+            if any(b.finished for b in branches):
+                break
         assert sizes == [1, 2, 2, 3, 3]
 
     def test_decision_count_mismatch_rejected(self):
-        frontier = Frontier(step=1, branches=(BranchState((8,), -0.2, False, 0),), next_branch_id=1)
         with pytest.raises(InvalidInputError):
-            expand_frontier(frontier, [sampled(1), sampled(2)], END)
+            expand_frontier([BranchState((8,), -0.2, False, 0)], [sampled(1), sampled(2)], 1, END)
 
 
 class TestApplyBudget:
@@ -150,37 +159,49 @@ class TestApplyBudget:
 
 
 class TestEarlyStopAndSelect:
-    def make_frontier(self, *specs):
-        branches = tuple(
+    def make_branches(self, *specs):
+        return [
             BranchState((1,) * 2, lp, finished, bid) for bid, (lp, finished) in enumerate(specs)
-        )
-        return Frontier(step=2, branches=branches, next_branch_id=len(specs))
+        ]
 
     def test_no_finisher(self):
-        outcome = check_early_stop(self.make_frontier((-1.0, False), (-2.0, False)))
-        assert outcome == EarlyStopOutcome(False, ())
+        # the length-cap exit: the most probable live branch is returned
+        branches = self.make_branches((-2.0, False), (-1.0, False), (-3.0, False))
+        assert select_result(branches).branch_id == 1
 
     def test_single_finisher(self):
-        outcome = check_early_stop(self.make_frontier((-1.0, False), (-2.0, True)))
-        assert outcome.stopped and outcome.winners == (1,)
+        # step 0 forks into 0 (live, more probable) and 1 (finishes): the run
+        # stops and returns the finished child, not the more probable live one
+        provider = ScriptedModel([], [10.0, 0.0, 9.0, 0.0], end_tokens=[2])
+        cfg = config(tau=0.3, k=2, end_tokens=frozenset({2}), max_tokens=4)
+        result = run_dts(provider, [], cfg)
+        assert result.terminated and result.steps_executed == 1
+        assert result.output.tokens == (2,) and result.output.branch_id == 1
+        assert result.peak_frontier_size == 2
 
     def test_simultaneous_finishers_both_listed(self):
-        outcome = check_early_stop(self.make_frontier((-1.0, True), (-2.0, True)))
-        assert outcome.winners == (0, 1)
+        # step 0 forks into 0 and 1; at step 1 branch 0 forks into two end
+        # tokens and branch 1 ends: all three finish, and the fork child
+        # (id 1), which lost fewer nats, must win
+        provider = ScriptedModel(
+            rules=[
+                ([0], [0.0, 0.0, 0.0, 10.0, 10.0]),
+                ([1], one_hot_logits(5, 4)),
+            ],
+            default_logits=[10.0, 9.9, 0.0, 0.0, 0.0],
+            end_tokens=[3, 4],
+        )
+        cfg = config(tau=0.3, k=2, end_tokens=frozenset({3, 4}), max_tokens=4)
+        result = run_dts(provider, [], cfg)
+        assert result.terminated and result.steps_executed == 2
+        assert result.peak_frontier_size == 3
+        assert result.output.tokens == (1, 4) and result.output.branch_id == 1
 
     def test_select_highest_logprob(self):
-        frontier = self.make_frontier((-4.1, True), (-3.2, True))
-        outcome = check_early_stop(frontier)
-        assert select_result(frontier, outcome).branch_id == 1
+        assert select_result(self.make_branches((-4.1, True), (-3.2, True))).branch_id == 1
 
     def test_select_tie_lowest_id(self):
-        frontier = self.make_frontier((-3.0, True), (-3.0, True))
-        assert select_result(frontier, check_early_stop(frontier)).branch_id == 0
-
-    def test_select_requires_stop(self):
-        frontier = self.make_frontier((-1.0, False))
-        with pytest.raises(LogicError):
-            select_result(frontier, EarlyStopOutcome(False, ()))
+        assert select_result(self.make_branches((-3.0, True), (-3.0, True))).branch_id == 0
 
     def test_simultaneous_finishers_through_engine(self):
         # a fork whose both children immediately reach the end token; the
@@ -396,3 +417,65 @@ class TestEquivalenceAndBudget:
                     demoted += 1
                     assert trace.chosen_tokens[0] == top_k_tokens(dist, 1)[0][0]
         assert demoted > 0
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        tau=st.sampled_from([0.0, 0.3, 0.7, 1.2, math.inf]),
+        k=st.integers(min_value=1, max_value=3),
+        budget=st.integers(min_value=1, max_value=8),
+        max_tokens=st.integers(min_value=1, max_value=24),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_pfsa_run_invariants(self, seed, tau, k, budget, max_tokens):
+        provider = random_pfsa(seed)
+        cfg = config(
+            tau=tau, k=k, max_branches=budget, max_tokens=max_tokens,
+            end_tokens=provider.end_tokens, seed=seed,
+        )
+        result = run_dts(provider, [], cfg)
+        assert result.peak_frontier_size <= budget
+        assert result.terminated == result.output.finished
+        assert result.steps_executed == len(result.output.tokens)
+        assert result.output.branch_id < result.peak_frontier_size
+        standard_cfg = dataclasses.replace(cfg, tau=math.inf)
+        assert json_bytes(run_dts(provider, [], standard_cfg)) == json_bytes(
+            run_standard(provider, [], standard_cfg)
+        )
+
+
+def test_benchmark_hooks_are_module_globals(monkeypatch):
+    # perfbench's tracer wraps these dts.engine names and reads the
+    # decisions from apply_budget's second positional argument
+    import dts.engine as engine
+
+    calls = Counter()
+    budget_args = []
+
+    def counting(name):
+        inner = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "apply_budget":
+                budget_args.append(args)
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("branch_function", "expand_frontier", "apply_budget", "entropy", "sample_token"):
+        monkeypatch.setattr(engine, name, counting(name))
+
+    result = run_dts(two_fork_scripted(), [], config())
+    assert calls == {
+        "branch_function": len(result.traces),
+        "expand_frontier": result.steps_executed,
+        "apply_budget": result.steps_executed,
+    }
+    for frontier_size, decisions, *_ in budget_args:
+        assert len(decisions) == frontier_size
+        assert all(isinstance(d, BranchDecision) for d in decisions)
+    assert sum(d.branched for _, decisions, *_ in budget_args for d in decisions) == 2
+
+    calls.clear()
+    result = run_standard(two_fork_scripted(), [], config())
+    assert calls == {"entropy": result.steps_executed, "sample_token": result.steps_executed}

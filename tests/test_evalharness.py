@@ -87,6 +87,14 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 2"):
             load_dataset(path)
 
+    def test_null_fields_report_line_number(self, tmp_path):
+        path = self.write(tmp_path, [
+            json.dumps({"id": "a", "prompt": "p", "answer": "1"}),
+            json.dumps({"id": None, "prompt": None, "answer": None}),
+        ])
+        with pytest.raises(DatasetError, match="line 2"):
+            load_dataset(path)
+
     def test_empty_file_warns(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -15,7 +15,7 @@ from dts import (
     verify_dts_against_oracle,
 )
 
-from support import one_hot_logits, random_pfsa
+from support import RecordingProvider, one_hot_logits, random_pfsa
 
 
 def geometric_pfsa(p_end=0.5):
@@ -78,6 +78,19 @@ class TestEnumerateTree:
         monkeypatch.setenv("DTS_WORK_LIMIT", "2")
         with pytest.raises(ResourceLimitError, match="2"):
             enumerate_tree(geometric_pfsa(), [], max_len=10)
+
+    def test_long_horizon_without_recursion(self):
+        # one path: 2999 forced 0 tokens, then the end token 1
+        emissions = {i: [1.0, 0.0] for i in range(2999)}
+        emissions[2999] = [0.0, 1.0]
+        chain = PfsaModel(0, emissions, {i: {0: i + 1} for i in range(2999)}, end_tokens=[1])
+        provider = RecordingProvider(chain)
+        paths = enumerate_tree(provider, [], max_len=3000)
+        assert [(p.tokens, p.probability) for p in paths] == [((0,) * 2999 + (1,), 1.0)]
+        assert provider.calls == 3000
+        # depth first: a subtree's paths come before its parent's end token
+        lengths = [p.length for p in enumerate_tree(geometric_pfsa(), [], max_len=6)]
+        assert lengths == [6, 5, 4, 3, 2, 1]
 
     @given(st.integers(min_value=0, max_value=30))
     @settings(max_examples=15, deadline=None)

@@ -158,6 +158,10 @@ class TestPfsa:
         with pytest.raises(InvalidInputError):
             PfsaModel(0, {0: [0.5, 0.5]}, {0: {0: 9}}, end_tokens=[1])
 
+    def test_cold_long_prefix_is_walked_without_recursion(self):
+        model = PfsaModel(0, {0: [0.5, 0.5]}, {0: {0: 0}}, end_tokens=[1])
+        assert model.distribution((), (0,) * 5000) == model.emissions[0]
+
     def test_file_roundtrip(self, tmp_path):
         payload = {
             "initial_state": "s0",
