@@ -29,20 +29,6 @@ class BranchDecision:
     tokens: tuple[TokenId, ...]
     logprobs: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
-        object.__setattr__(self, "logprobs", tuple(float(x) for x in self.logprobs))
-        if len(self.tokens) != len(self.logprobs):
-            raise InvalidInputError("tokens and logprobs must align")
-        if not self.tokens:
-            raise InvalidInputError("a decision must carry at least one token")
-        if len(set(self.tokens)) != len(self.tokens):
-            raise InvalidInputError("decision tokens must be distinct")
-        if self.branched and len(self.tokens) < 2:
-            raise InvalidInputError("a branching decision needs at least two tokens")
-        if not self.branched and len(self.tokens) != 1:
-            raise InvalidInputError("a non-branching decision carries exactly one token")
-
 
 def softmax_with_temperature(logits, temperature: float) -> TokenDistribution:
     """Numerically stable softmax of ``logits / temperature``."""

@@ -14,6 +14,7 @@ from .evalharness import (
     aggregate_metrics,
     export_scatter,
     load_dataset,
+    read_records,
     run_eval,
     selection_strategy_analysis,
 )
@@ -105,8 +106,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.records, encoding="utf-8") as fh:
-        records = [EvalRecord.from_json_dict(json.loads(line)) for line in fh if line.strip()]
+    records = [record for _, record in read_records(args.records, EvalRecord)]
     table = aggregate_metrics(records)
     print(table.render_text())
     if args.strategy:

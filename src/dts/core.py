@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Callable, Optional, TypeVar, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Optional, TypeVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -52,6 +52,22 @@ class DatasetError(DtsError):
     """A dataset file could not be parsed."""
 
 
+def token_ids(values: Iterable[Any], vocab_size: int) -> tuple[TokenId, ...]:
+    """``values`` as Python ints, each a Python or numpy integer in ``[0, vocab_size)``.
+
+    The one check of token ids that enter from outside the program; the
+    records the engine builds from checked ids are not checked again.
+    """
+    ids = []
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidInputError(f"token id {value!r} is not an integer")
+        if not 0 <= value < vocab_size:
+            raise InvalidInputError(f"token id {value} outside vocabulary of size {vocab_size}")
+        ids.append(int(value))
+    return tuple(ids)
+
+
 R = TypeVar("R", bound="JsonRecord")
 
 
@@ -63,8 +79,9 @@ class JsonRecord:
     field's annotated type: ``int``, ``float``, ``str``, ``bool``,
     ``Optional[X]``, ``tuple[X, ...]``, ``frozenset[X]`` or a nested record;
     a value of any other type is passed on for ``__post_init__`` to check.
-    A ``bool`` field accepts only ``true`` and ``false``, and a ``str`` field
-    only a string or a number; anything else raises ``InvalidInputError``.
+    A ``bool`` field accepts only ``true`` and ``false``, an ``int`` field
+    only an integer and a ``str`` field only a string or a number; anything
+    else raises ``InvalidInputError``.
     An absent field keeps its default, an absent required field raises
     ``KeyError`` and unknown keys are ignored.
     """
@@ -119,20 +136,21 @@ def _codec(hint: Any) -> tuple[Optional[Callable], Callable]:
         return (lambda v: v.to_json_dict()), hint.from_json_dict
     if hint is np.ndarray:
         return np.ndarray.tolist, lambda v: v
-    if hint is bool:
-        return None, _read_bool
+    if hint in (bool, int):
+        return None, functools.partial(_read_exact, hint)
     if hint is str:
         return None, _read_str
-    return None, (hint if hint in (int, float) else lambda v: v)
+    return None, (float if hint is float else lambda v: v)
 
 
 def _or_none(coerce: Callable) -> Callable:
     return lambda v: None if v is None else coerce(v)
 
 
-def _read_bool(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise InvalidInputError(f"expected true or false, got {value!r}")
+def _read_exact(kind: type, value: Any) -> Any:
+    # exact type: a JSON true is not an int, and 2.0 is not an int either
+    if type(value) is not kind:
+        raise InvalidInputError(f"expected {kind.__name__}, got {value!r}")
     return value
 
 
@@ -147,7 +165,7 @@ def _read_str(value: Any) -> str:
 class TokenDistribution(JsonRecord):
     """Probability vector over a vocabulary at one decoding position.
 
-    Entries are non-negative and sum to 1 within ``PROB_SUM_TOL``. The
+    Entries lie in [0, 1] and sum to 1 within ``PROB_SUM_TOL``. The
     underlying array is copied and frozen at construction.
     """
 
@@ -159,8 +177,8 @@ class TokenDistribution(JsonRecord):
             raise InvalidInputError("distribution must be a non-empty 1-d vector")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("distribution entries must be finite")
-        if np.any(arr < 0.0):
-            raise InvalidInputError("distribution entries must be non-negative")
+        if arr.min() < 0.0 or arr.max() > 1.0:
+            raise InvalidInputError("distribution entries must lie in [0, 1]")
         total = float(arr.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise InvalidInputError(f"distribution sums to {total}, expected 1 within {PROB_SUM_TOL}")
@@ -189,9 +207,6 @@ class BranchState(JsonRecord):
     fork_step: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
-        if any(t < 0 for t in self.tokens):
-            raise InvalidInputError("token ids must be non-negative")
         if self.cumulative_logprob > 0.0:
             raise InvalidInputError("cumulative log-probability cannot be positive")
         if self.branch_id < 0:
@@ -231,8 +246,6 @@ class DtsConfig(JsonRecord):
             raise InvalidInputError("seed must fit in 64 unsigned bits")
         if not self.end_tokens:
             raise InvalidInputError("end_tokens must be non-empty")
-        if any(t < 0 for t in self.end_tokens):
-            raise InvalidInputError("end tokens must be non-negative ids")
 
 
 @dataclass(frozen=True)
@@ -246,7 +259,6 @@ class StepTrace(JsonRecord):
     chosen_tokens: tuple[TokenId, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "chosen_tokens", tuple(int(t) for t in self.chosen_tokens))
         if self.branched and len(self.chosen_tokens) < 2:
             raise InvalidInputError("a branching trace must record at least two tokens")
         if not self.branched and len(self.chosen_tokens) != 1:
@@ -263,9 +275,6 @@ class RunResult(JsonRecord):
     peak_frontier_size: int
     total_branch_events: int
     traces: tuple[StepTrace, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "traces", tuple(self.traces))
 
     def to_json_dict(self, include_traces: bool = True) -> dict[str, Any]:
         # the traces are left out before encoding: an untraced dump costs nothing per trace

@@ -22,6 +22,7 @@ from .core import (
     RunResult,
     StepTrace,
     TokenId,
+    token_ids,
 )
 from .rng import SplitMix64
 
@@ -67,27 +68,28 @@ def expand_frontier(
 
 
 def apply_budget(
-    frontier_size: int,
+    branches: Sequence[BranchState],
     decisions: Sequence[BranchDecision],
-    branch_order: Sequence[int],
     max_branches: int,
 ) -> list[BranchDecision]:
     """Demote branching decisions that would push the frontier over budget.
 
-    ``branch_order`` lists positions into ``decisions`` sorted by the owning
-    branch's cumulative log-probability, highest first, so probable paths
-    win fan-out under contention. The walk reserves one child for every
-    branch not yet visited; a branching decision survives only if its full
-    fan-out plus those reservations fits in ``max_branches``. A demoted
-    decision keeps its single most probable token.
+    The decisions are walked in order of their branch's cumulative
+    log-probability, highest first and ties to the lower position, so
+    probable paths win fan-out under contention. The walk reserves one child
+    for every branch not yet visited; a branching decision survives only if
+    its full fan-out plus those reservations fits in ``max_branches``. A
+    demoted decision keeps its single most probable token.
     """
-    if frontier_size != len(decisions) or sorted(branch_order) != list(range(len(decisions))):
-        raise InvalidInputError("branch_order must be a permutation over the decisions")
+    if len(decisions) != len(branches):
+        raise InvalidInputError(f"{len(decisions)} decisions for {len(branches)} branches")
+    # a stable sort leaves tied branches in position order
+    order = sorted(range(len(branches)), key=lambda i: -branches[i].cumulative_logprob)
     result = list(decisions)
     committed = 0
-    for walked, pos in enumerate(branch_order):
+    for walked, pos in enumerate(order):
         decision = result[pos]
-        remaining = len(branch_order) - walked - 1
+        remaining = len(order) - walked - 1
         if decision.branched and committed + len(decision.tokens) + remaining > max_branches:
             decision = BranchDecision(
                 entropy=decision.entropy,
@@ -105,12 +107,14 @@ def select_result(branches: Sequence[BranchState]) -> BranchState:
     return min(branches, key=lambda b: (-b.cumulative_logprob, b.branch_id))
 
 
-def _validate_run_inputs(provider, prompt: Sequence[TokenId], config: DtsConfig):
-    for t in prompt:
-        if not 0 <= int(t) < provider.vocab_size:
-            raise InvalidInputError(f"prompt token {t} outside vocabulary of size {provider.vocab_size}")
-    if config.k > provider.vocab_size:
-        raise InvalidInputError(f"k={config.k} exceeds vocabulary size {provider.vocab_size}")
+def _validate_run_inputs(provider, prompt: Sequence[TokenId], config: DtsConfig) -> tuple[TokenId, ...]:
+    """The prompt as checked token ids; the end tokens and ``k`` must fit the vocabulary too."""
+    vocab_size = provider.vocab_size
+    prompt = token_ids(prompt, vocab_size)
+    token_ids(config.end_tokens, vocab_size)
+    if config.k > vocab_size:
+        raise InvalidInputError(f"k={config.k} exceeds vocabulary size {vocab_size}")
+    return prompt
 
 
 def _distributions_at(provider, prompt, branches, step):
@@ -139,8 +143,7 @@ def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) ->
     ``rng`` is an instrumentation hook; by default a fresh stream seeded
     from ``config.seed`` is used.
     """
-    prompt = tuple(int(t) for t in prompt)
-    _validate_run_inputs(provider, prompt, config)
+    prompt = _validate_run_inputs(provider, prompt, config)
     if rng is None:
         rng = SplitMix64(config.seed)
 
@@ -153,8 +156,7 @@ def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) ->
         dists = _distributions_at(provider, prompt, branches, step)
         # branches are in branch-id order, which fixes the rng draw order
         decisions = [branch_function(d, config, rng) for d in dists]
-        order = sorted(range(len(branches)), key=lambda i: (-branches[i].cumulative_logprob, i))
-        decisions = apply_budget(len(branches), decisions, order, config.max_branches)
+        decisions = apply_budget(branches, decisions, config.max_branches)
         branch_events += sum(1 for d in decisions if d.branched)
         traces.extend(
             StepTrace(
@@ -188,8 +190,7 @@ def run_standard(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=Non
     One sampled token per step, exactly one uniform draw per emitted token,
     until an end token or the length cap.
     """
-    prompt = tuple(int(t) for t in prompt)
-    _validate_run_inputs(provider, prompt, config)
+    prompt = _validate_run_inputs(provider, prompt, config)
     if rng is None:
         rng = SplitMix64(config.seed)
 
@@ -207,23 +208,13 @@ def run_standard(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=Non
             StepTrace(step=step, branch_id=0, entropy=h, branched=False, chosen_tokens=(token,))
         )
         if token in config.end_tokens:
-            output = BranchState(
-                tokens=tokens, cumulative_logprob=logprob, finished=True, branch_id=0
-            )
-            return RunResult(
-                output=output,
-                terminated=True,
-                steps_executed=step + 1,
-                peak_frontier_size=1,
-                total_branch_events=0,
-                traces=tuple(traces),
-            )
+            break
 
-    output = BranchState(tokens=tokens, cumulative_logprob=logprob, finished=False, branch_id=0)
+    finished = tokens[-1] in config.end_tokens
     return RunResult(
-        output=output,
-        terminated=False,
-        steps_executed=config.max_tokens,
+        output=BranchState(tokens=tokens, cumulative_logprob=logprob, finished=finished, branch_id=0),
+        terminated=finished,
+        steps_executed=len(tokens),
         peak_frontier_size=1,
         total_branch_events=0,
         traces=tuple(traces),

@@ -17,9 +17,9 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from .core import DatasetError, DtsConfig, InvalidInputError, JsonRecord, TokenId
+from .core import DatasetError, DtsConfig, InvalidInputError, JsonRecord, R, TokenId
 from .engine import run_dts, run_standard
 
 METHODS = ("dts", "standard")
@@ -108,22 +108,28 @@ def hash64(seed: int, item_id: str, method: str) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
-def load_dataset(path) -> list[EvalItem]:
-    """Read a JSONL dataset of items with unique ids."""
-    items: list[EvalItem] = []
-    seen: set[str] = set()
+def read_records(path, record_type: type[R]) -> Iterator[tuple[int, R]]:
+    """(line number, record) per non-blank JSONL line; a bad line raises ``DatasetError``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                item = EvalItem.from_json_dict(json.loads(line))
+                record = record_type.from_json_dict(json.loads(line))
             except (ValueError, KeyError, TypeError) as exc:
                 raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
-            if item.id in seen:
-                raise DatasetError(f"{path}: line {lineno}: duplicate item id {item.id!r}")
-            seen.add(item.id)
-            items.append(item)
+            yield lineno, record
+
+
+def load_dataset(path) -> list[EvalItem]:
+    """Read a JSONL dataset of items with unique ids."""
+    items: list[EvalItem] = []
+    seen: set[str] = set()
+    for lineno, item in read_records(path, EvalItem):
+        if item.id in seen:
+            raise DatasetError(f"{path}: line {lineno}: duplicate item id {item.id!r}")
+        seen.add(item.id)
+        items.append(item)
     if not items:
         warnings.warn(f"dataset {path} is empty")
     return items

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import BranchState, DtsConfig, InvalidInputError, JsonRecord, ResourceLimitError, TokenId
+from .core import BranchState, DtsConfig, InvalidInputError, JsonRecord, ResourceLimitError, TokenId, token_ids
 from .engine import run_dts
 
 DEFAULT_WORK_LIMIT = 10_000_000
@@ -28,7 +28,6 @@ class EnumeratedPath(JsonRecord):
     length: int
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
         if not 0.0 < self.probability <= 1.0:
             raise InvalidInputError("path probability must lie in (0, 1]")
         if self.length != len(self.tokens):
@@ -60,7 +59,7 @@ def enumerate_tree(
     if prob_floor < 0.0:
         raise InvalidInputError("prob_floor must be >= 0")
     limit = _effective_work_limit(work_limit)
-    prompt = tuple(int(t) for t in prompt)
+    prompt = token_ids(prompt, provider.vocab_size)
     end_tokens = provider.end_tokens
     paths: list[EnumeratedPath] = []
     calls = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 from typing import Optional, Sequence
 
-from ..core import BranchState, InvalidInputError, TokenDistribution, TokenId
+from ..core import BranchState, InvalidInputError, TokenDistribution, TokenId, token_ids
 
 
 class DistributionProvider(abc.ABC):
@@ -68,7 +68,6 @@ class DistributionProvider(abc.ABC):
             raise InvalidInputError("vocabulary must hold at least two tokens")
         if not self.end_tokens:
             raise InvalidInputError("provider must recommend at least one end token")
-        if any(not 0 <= t < self.vocab_size for t in self.end_tokens):
-            raise InvalidInputError("end tokens must lie inside the vocabulary")
+        token_ids(self.end_tokens, self.vocab_size)
         if self.vocab is not None and len(self.vocab) != self.vocab_size:
             raise InvalidInputError("vocab word list must match vocab_size")

@@ -13,7 +13,7 @@ import json
 from typing import Optional, Sequence
 
 from ..branching import softmax_with_temperature
-from ..core import InvalidInputError, TokenDistribution, TokenId
+from ..core import InvalidInputError, TokenDistribution, TokenId, token_ids
 from .base import DistributionProvider
 
 
@@ -29,14 +29,12 @@ class ScriptedModel(DistributionProvider):
         self.default_logits = tuple(float(x) for x in default_logits)
         self.vocab_size = len(self.default_logits)
         self.rules = tuple(
-            (tuple(int(t) for t in suffix), tuple(float(x) for x in logits))
+            (token_ids(suffix, self.vocab_size), tuple(float(x) for x in logits))
             for suffix, logits in rules
         )
         for suffix, logits in self.rules:
             if len(logits) != self.vocab_size:
                 raise InvalidInputError("every rule must provide one logit per vocabulary token")
-            if any(not 0 <= t < self.vocab_size for t in suffix):
-                raise InvalidInputError("rule suffix tokens must lie inside the vocabulary")
         self.temperature = float(temperature)
         if end_tokens is None:
             end_tokens = [self.vocab_size - 1]

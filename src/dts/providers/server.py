@@ -13,7 +13,7 @@ import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..core import BranchState
+from ..core import BranchState, token_ids
 from .base import DistributionProvider
 
 _NEG_INF_SENTINEL = -1e9
@@ -53,15 +53,18 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", 0))
             request = json.loads(self.rfile.read(length))
-            prompt = tuple(int(t) for t in request["prompt"])
+            vocab_size = self.server.provider.vocab_size
+            prompt = token_ids(request["prompt"], vocab_size)
+            # the record reader takes branch_id only as an integer and the
+            # lineage fields only as an integer or null
             sequences = [
-                BranchState(
-                    tokens=tuple(int(t) for t in seq["tokens"]),
-                    cumulative_logprob=0.0,
-                    finished=False,
-                    branch_id=int(seq["branch_id"]),
-                    parent_branch_id=seq.get("parent_branch_id"),
-                    fork_step=seq.get("fork_step"),
+                BranchState.from_json_dict(
+                    {
+                        **seq,
+                        "tokens": token_ids(seq["tokens"], vocab_size),
+                        "cumulative_logprob": 0.0,
+                        "finished": False,
+                    }
                 )
                 for seq in request["sequences"]
             ]

@@ -135,6 +135,21 @@ class TestEvalAndReport:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "'false'" in err
 
+    @pytest.mark.parametrize("bad_line", ["missing length", "not json"])
+    def test_report_names_the_bad_line(self, capsys, tmp_path, bad_line):
+        line = {
+            "item_id": "q1", "seed": 0, "method": "dts", "correct": True, "length": 3,
+            "terminated": True, "repetition": False, "wall_time": 0.1,
+        }
+        broken = dict(line)
+        del broken["length"]
+        records_path = tmp_path / "records.jsonl"
+        second = json.dumps(broken) if bad_line == "missing length" else "{not json"
+        records_path.write_text(json.dumps(line) + "\n" + second + "\n")
+        code, out, err = run_cli(capsys, ["report", "--records", str(records_path)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {records_path}: line 2: ")
+
 
 class TestOracle:
     def test_jsonl_output(self, capsys, tmp_path, scripted_file):

@@ -13,6 +13,7 @@ from dts import (
     StepTrace,
     TokenDistribution,
 )
+from dts.core import token_ids
 
 token_lists = st.lists(st.integers(min_value=0, max_value=500), max_size=12)
 logprobs = st.floats(min_value=-200.0, max_value=0.0, allow_nan=False)
@@ -148,6 +149,22 @@ def test_config_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(InvalidInputError):
         DtsConfig(**base)
+
+
+def test_token_ids_accepts_python_and_numpy_integers():
+    assert token_ids([0, np.int64(2), np.uint8(1)], 3) == (0, 2, 1)
+    assert all(type(t) is int for t in token_ids(np.arange(3), 3))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5, "1", None, -1, 3, np.int64(3)])
+def test_token_ids_rejects_non_integers_and_out_of_range(bad):
+    with pytest.raises(InvalidInputError):
+        token_ids([0, bad], 3)
+
+
+def test_distribution_rejects_entries_above_one():
+    with pytest.raises(InvalidInputError):
+        TokenDistribution(np.array([1.0 + 1e-7, 0.0]))
 
 
 def test_branch_state_rejects_positive_logprob():

@@ -123,39 +123,50 @@ class TestExpandFrontier:
             expand_frontier([BranchState((8,), -0.2, False, 0)], [sampled(1), sampled(2)], 1, END)
 
 
+def frontier(*logprobs):
+    return [BranchState((), lp, False, bid) for bid, lp in enumerate(logprobs)]
+
+
 class TestApplyBudget:
     def test_under_budget_unchanged(self):
         decisions = [forked(0, 1, 2)]
-        assert apply_budget(1, decisions, [0], 32) == decisions
+        assert apply_budget(frontier(0.0), decisions, 32) == decisions
 
     def test_full_frontier_demotes_everything(self):
         decisions = [forked(0, 1, 2) for _ in range(3)]
-        out = apply_budget(3, decisions, [0, 1, 2], 3)
+        out = apply_budget(frontier(-1.0, -1.0, -1.0), decisions, 3)
         assert all(not d.branched and len(d.tokens) == 1 for d in out)
 
     def test_most_probable_branch_keeps_fanout(self):
-        # order given highest logprob first: first keeps 3 children,
+        # the first branch is the more probable: it keeps 3 children, the
         # second demotes, 3 + 1 = 4 fits the budget exactly
         decisions = [forked(0, 1, 2), forked(3, 4, 0)]
-        out = apply_budget(2, decisions, [0, 1], 4)
+        out = apply_budget(frontier(-0.1, -0.2), decisions, 4)
         assert out[0].branched and len(out[0].tokens) == 3
         assert not out[1].branched and out[1].tokens == (3,)
+
+    def test_tied_logprobs_favour_the_lower_position(self):
+        decisions = [forked(0, 1, 2), forked(3, 4, 0)]
+        out = apply_budget(frontier(-0.5, -0.5), decisions, 4)
+        assert out[0].branched and not out[1].branched
+        out = apply_budget(frontier(-0.5, -0.1), decisions, 4)
+        assert not out[0].branched and out[1].branched
 
     def test_demotion_keeps_highest_probability_token(self):
         decision = BranchDecision(
             entropy=2.0, branched=True, tokens=(7, 1, 4), logprobs=(-0.1, -0.9, -2.0)
         )
-        out = apply_budget(1, [decision, sampled(2)][:1], [0], 1)
+        out = apply_budget(frontier(0.0), [decision], 1)
         assert out[0].tokens == (7,) and out[0].logprobs == (-0.1,)
         assert out[0].entropy == 2.0
 
     def test_non_branching_decisions_untouched(self):
         decisions = [sampled(1), sampled(2)]
-        assert apply_budget(2, decisions, [1, 0], 2) == decisions
+        assert apply_budget(frontier(-0.2, -0.1), decisions, 2) == decisions
 
-    def test_rejects_bad_order(self):
+    def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            apply_budget(2, [sampled(1), sampled(2)], [0, 0], 8)
+            apply_budget(frontier(0.0), [sampled(1), sampled(2)], 8)
 
 
 class TestEarlyStopAndSelect:
@@ -268,6 +279,20 @@ class TestRunDts:
         provider = chain_scripted([5])
         with pytest.raises(InvalidInputError):
             run_dts(provider, [99], config())
+
+    @pytest.mark.parametrize("runner", [run_dts, run_standard])
+    @pytest.mark.parametrize("end_tokens", [{6}, {5, 99}])
+    def test_end_tokens_outside_vocab_rejected(self, runner, end_tokens):
+        # the chain model has 6 tokens; an end token it cannot emit would
+        # silently run every request to the length cap
+        provider = chain_scripted([5])
+        with pytest.raises(InvalidInputError, match="outside vocabulary"):
+            runner(provider, [], config(end_tokens=frozenset(end_tokens)))
+
+    @pytest.mark.parametrize("prompt", [[1.5], ["1"], [True]])
+    def test_prompt_ids_must_be_integers_in_range(self, prompt):
+        with pytest.raises(InvalidInputError):
+            run_dts(chain_scripted([5]), prompt, config())
 
     def test_k_above_vocab_rejected(self):
         provider = chain_scripted([5])
@@ -471,8 +496,8 @@ def test_benchmark_hooks_are_module_globals(monkeypatch):
         "expand_frontier": result.steps_executed,
         "apply_budget": result.steps_executed,
     }
-    for frontier_size, decisions, *_ in budget_args:
-        assert len(decisions) == frontier_size
+    for branches, decisions, *_ in budget_args:
+        assert len(decisions) == len(branches)
         assert all(isinstance(d, BranchDecision) for d in decisions)
     assert sum(d.branched for _, decisions, *_ in budget_args for d in decisions) == 2
 

@@ -45,6 +45,19 @@ def test_record_reader_ignores_unknown_keys():
     assert EvalRecord.from_json_dict(dict(rec.to_json_dict(), note="extra")) == rec
 
 
+@pytest.mark.parametrize(
+    "field, value", [("seed", 2.7), ("seed", 2.0), ("length", True), ("length", "12"), ("seed", None)]
+)
+def test_record_int_fields_accept_only_integers(field, value):
+    data = dict(record().to_json_dict(), **{field: value})
+    with pytest.raises(InvalidInputError):
+        EvalRecord.from_json_dict(data)
+
+
+def test_record_float_field_accepts_an_integer():
+    assert EvalRecord.from_json_dict(dict(record().to_json_dict(), wall_time=1)).wall_time == 1.0
+
+
 class TestLoadDataset:
     def write(self, tmp_path, lines):
         path = tmp_path / "data.jsonl"

@@ -150,6 +150,12 @@ class TestPfsa:
         with pytest.raises(InvalidInputError):
             PfsaModel(0, {0: [0.5, 0.6]}, {0: {0: 0}}, end_tokens=[1])
 
+    def test_emission_above_one_rejected_when_built(self):
+        # the row sums to 1 within tolerance, but a log-probability of the
+        # first token would be positive
+        with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
+            PfsaModel("a", {"a": [1 + 5e-10, 0, 0], "b": [0, 0, 1]}, {"a": {0: "b"}}, [2])
+
     def test_missing_transition_rejected(self):
         with pytest.raises(InvalidInputError):
             PfsaModel(0, {0: [0.5, 0.5]}, {0: {}}, end_tokens=[1])

@@ -228,6 +228,32 @@ class TestServerSideValidation:
             )
             assert response.status_code == 400
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"tokens": [-1]},
+            {"tokens": [7]},
+            {"tokens": [1.5]},
+            {"tokens": ["1"]},
+            {"tokens": [True]},
+            {"prompt": [3]},
+            {"parent_branch_id": "x"},
+        ],
+        ids=["negative", "beyond-vocab", "float", "string", "bool", "prompt-beyond-vocab", "string-parent"],
+    )
+    def test_bad_ids_rejected_with_400(self, change):
+        import requests
+
+        three_tokens = PfsaModel(0, {0: [0.5, 0.3, 0.2]}, {0: {0: 0, 1: 0}}, end_tokens=[2])
+        sequence = {"branch_id": 0, "tokens": [0], "parent_branch_id": None, "fork_step": None}
+        request = {"prompt": [], "sequences": [sequence]}
+        with ProviderServer(three_tokens) as server:
+            url = server.url + "/v1/distribution"
+            assert requests.post(url, json=request, timeout=5).status_code == 200
+            for key, value in change.items():
+                (request if key == "prompt" else sequence)[key] = value
+            assert requests.post(url, json=request, timeout=5).status_code == 400
+
     def test_many_sequential_calls(self):
         model = random_pfsa(3, require_path_within=6)
         with ProviderServer(model, kind="logprobs") as server:
