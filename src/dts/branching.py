@@ -30,19 +30,23 @@ class BranchDecision:
     logprobs: tuple[float, ...]
 
 
-def softmax_with_temperature(logits, temperature: float) -> TokenDistribution:
-    """Numerically stable softmax of ``logits / temperature``."""
-    if math.isnan(temperature) or not temperature > 0.0:
-        raise InvalidInputError("temperature must be > 0")
+def softmax(logits) -> TokenDistribution:
+    """Numerically stable softmax; a ``-inf`` logit is probability 0."""
     arr = np.asarray(logits, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidInputError("logits must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("logits must be finite")
-    scaled = arr / temperature
-    shifted = scaled - scaled.max()
-    weights = np.exp(shifted)
+    # NaN and +inf fail the first test, an all -inf vector the second
+    if not (np.all(arr < np.inf) and arr.max() > -np.inf):
+        raise InvalidInputError("logits must be finite or -inf, and not all -inf")
+    weights = np.exp(arr - arr.max())
     return TokenDistribution(weights / weights.sum())
+
+
+def softmax_with_temperature(logits, temperature: float) -> TokenDistribution:
+    """Softmax of ``logits / temperature``: the only division by a temperature."""
+    if math.isnan(temperature) or not temperature > 0.0:
+        raise InvalidInputError("temperature must be > 0")
+    return softmax(np.asarray(logits, dtype=np.float64) / temperature)
 
 
 def entropy(dist: TokenDistribution) -> float:

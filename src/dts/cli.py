@@ -34,7 +34,7 @@ def _add_provider_args(parser: argparse.ArgumentParser):
 def _add_engine_args(parser: argparse.ArgumentParser):
     parser.add_argument("--tau", type=float, default=2.5, help="entropy threshold in nats; 'inf' disables branching")
     parser.add_argument("--k", type=int, default=3, help="branch fan-out")
-    parser.add_argument("--temperature", type=float, default=0.6)
+    parser.add_argument("--temperature", type=float, default=0.6, help="applied by the engine to every provider's rows")
     parser.add_argument("--max-tokens", type=int, default=1024)
     parser.add_argument("--max-branches", type=int, default=32)
     parser.add_argument("--seed", type=int, default=0)
@@ -45,11 +45,11 @@ def _build_provider(args):
     if args.provider == "remote":
         if not args.endpoint:
             raise DtsError("--endpoint is required for the remote provider")
-        return RemoteProvider(args.endpoint, temperature=args.temperature)
+        return RemoteProvider(args.endpoint)
     if args.provider == "scripted":
         if not args.model_file:
             raise DtsError("--model-file is required for the scripted provider")
-        return ScriptedModel.from_file(args.model_file, temperature=args.temperature)
+        return ScriptedModel.from_file(args.model_file)
     if args.provider == "pfsa":
         if not args.model_file:
             raise DtsError("--model-file is required for the pfsa provider")
@@ -60,9 +60,16 @@ def _build_provider(args):
     return NGramModel.from_text_corpus(lines, n=args.order, alpha=args.alpha)
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise DtsError(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def _build_config(args, provider) -> DtsConfig:
     if args.end_tokens:
-        end_tokens = frozenset(int(t) for t in args.end_tokens.split(","))
+        end_tokens = frozenset(_int_list(args.end_tokens, "--end-tokens"))
     else:
         end_tokens = provider.end_tokens
     return DtsConfig(
@@ -98,7 +105,7 @@ def _cmd_eval(args) -> int:
     provider = _build_provider(args)
     config = _build_config(args, provider)
     dataset = load_dataset(args.dataset)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = _int_list(args.seeds, "--seeds")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     records = run_eval(dataset, provider, config, seeds, methods, out_path=args.out, jobs=args.jobs)
     print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
@@ -132,7 +139,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_serve(args) -> int:
     provider = _build_provider(args)
-    server = ProviderServer(provider, kind=args.kind, host=args.host, port=args.port)
+    server = ProviderServer(provider, host=args.host, port=args.port)
     print(f"serving {args.provider} provider on {server.url}", file=sys.stderr)
     try:
         server.serve_forever()
@@ -174,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="enumerate the decoding tree exhaustively")
     _add_provider_args(p_oracle)
-    p_oracle.add_argument("--temperature", type=float, default=1.0)
     p_oracle.add_argument("--prompt", help="inline prompt text")
     p_oracle.add_argument("--prompt-file", help="file holding the prompt text")
     p_oracle.add_argument("--max-len", type=int, required=True)
@@ -184,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser("serve", help="expose a local provider over the wire protocol")
     _add_provider_args(p_serve)
-    p_serve.add_argument("--temperature", type=float, default=1.0)
-    p_serve.add_argument("--kind", choices=["logprobs", "logits"], default="logprobs")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8321)
     p_serve.set_defaults(func=_cmd_serve)
@@ -197,7 +201,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DtsError as exc:
+    except (DtsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,11 +52,12 @@ class DatasetError(DtsError):
     """A dataset file could not be parsed."""
 
 
-def token_ids(values: Iterable[Any], vocab_size: int) -> tuple[TokenId, ...]:
+def token_ids(values: Iterable[Any], vocab_size: float = math.inf) -> tuple[TokenId, ...]:
     """``values`` as Python ints, each a Python or numpy integer in ``[0, vocab_size)``.
 
     The one check of token ids that enter from outside the program; the
     records the engine builds from checked ids are not checked again.
+    Without a ``vocab_size`` only the type and the sign are checked.
     """
     ids = []
     for value in values:
@@ -231,7 +232,8 @@ class DtsConfig(JsonRecord):
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "end_tokens", frozenset(int(t) for t in self.end_tokens))
+        # the vocabulary range is checked by the engine, which knows the provider
+        object.__setattr__(self, "end_tokens", frozenset(token_ids(self.end_tokens)))
         if math.isnan(self.tau) or self.tau < 0.0:
             raise InvalidInputError("tau must be >= 0 (math.inf disables branching)")
         if self.k < 1:

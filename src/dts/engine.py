@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .branching import BranchDecision, branch_function, entropy, sample_token
+import numpy as np
+
+from .branching import BranchDecision, branch_function, entropy, sample_token, softmax_with_temperature
 from .core import (
     BranchState,
     DtsConfig,
@@ -117,7 +119,9 @@ def _validate_run_inputs(provider, prompt: Sequence[TokenId], config: DtsConfig)
     return prompt
 
 
-def _distributions_at(provider, prompt, branches, step):
+def _distributions_at(provider, prompt, branches, step, temperature):
+    """The provider's rows for ``branches``: as they are at temperature 1, else
+    each row becomes ``softmax(log p / temperature)``, so a zero stays zero."""
     try:
         dists = provider.next_distributions(prompt, branches)
     except Exception as exc:
@@ -126,7 +130,10 @@ def _distributions_at(provider, prompt, branches, step):
         raise ProviderError(
             f"provider returned {len(dists)} distributions for {len(branches)} branches at step {step}"
         )
-    return dists
+    if temperature == 1.0:
+        return dists
+    with np.errstate(divide="ignore"):
+        return [softmax_with_temperature(np.log(d.probs), temperature) for d in dists]
 
 
 def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) -> RunResult:
@@ -153,7 +160,7 @@ def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) ->
     branch_events = 0
 
     for step in range(config.max_tokens):
-        dists = _distributions_at(provider, prompt, branches, step)
+        dists = _distributions_at(provider, prompt, branches, step, config.temperature)
         # branches are in branch-id order, which fixes the rng draw order
         decisions = [branch_function(d, config, rng) for d in dists]
         decisions = apply_budget(branches, decisions, config.max_branches)
@@ -199,7 +206,7 @@ def run_standard(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=Non
     traces: list[StepTrace] = []
     for step in range(config.max_tokens):
         state = BranchState(tokens=tokens, cumulative_logprob=logprob, finished=False, branch_id=0)
-        dist = _distributions_at(provider, prompt, [state], step)[0]
+        dist = _distributions_at(provider, prompt, [state], step, config.temperature)[0]
         h = entropy(dist)
         token, token_logprob = sample_token(dist, rng)
         tokens = tokens + (token,)

@@ -10,7 +10,8 @@ concurrent batched queries.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+import json
+from typing import Any, Optional, Sequence
 
 from ..core import BranchState, InvalidInputError, TokenDistribution, TokenId, token_ids
 
@@ -71,3 +72,16 @@ class DistributionProvider(abc.ABC):
         token_ids(self.end_tokens, self.vocab_size)
         if self.vocab is not None and len(self.vocab) != self.vocab_size:
             raise InvalidInputError("vocab word list must match vocab_size")
+
+
+def read_json_file(path: str) -> Any:
+    """The JSON value held in the file at ``path``.
+
+    Content that is not JSON raises ``InvalidInputError`` naming the file; a
+    file that cannot be opened raises ``OSError``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on a binary file
+            raise InvalidInputError(f"{path}: not a JSON file: {exc}") from None

@@ -12,13 +12,12 @@ tokens alone.
 
 from __future__ import annotations
 
-import json
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
 from ..core import InvalidInputError, TokenDistribution, TokenId
-from .base import DistributionProvider
+from .base import DistributionProvider, read_json_file
 
 State = Hashable
 _EMISSION_SUM_TOL = 1e-9
@@ -106,17 +105,21 @@ class PfsaModel(DistributionProvider):
         {"initial_state": ..., "end_tokens": [...], "vocab": [...]?,
          "states": {name: {"emissions": [...], "transitions": {token: name}}}}
         """
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json_file(path)
         emissions = {}
         transitions = {}
-        for name, spec in data["states"].items():
-            emissions[name] = spec["emissions"]
-            transitions[name] = {int(t): s for t, s in spec.get("transitions", {}).items()}
+        try:
+            for name, spec in data["states"].items():
+                emissions[name] = spec["emissions"]
+                transitions[name] = {int(t): s for t, s in spec.get("transitions", {}).items()}
+            initial_state = data["initial_state"]
+            end_tokens = data["end_tokens"]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"{path}: malformed PFSA file ({type(exc).__name__}: {exc})") from None
         return cls(
-            initial_state=data["initial_state"],
+            initial_state=initial_state,
             emissions=emissions,
             transitions=transitions,
-            end_tokens=data["end_tokens"],
+            end_tokens=end_tokens,
             vocab=data.get("vocab"),
         )

@@ -12,9 +12,9 @@ Wire protocol (JSON over HTTP):
                                                 "values": [float; vocab_size]}, ...]}
 
 Response order must match request order. "logits" values are converted with
-client-side temperature-scaled softmax; "logprobs" are exponentiated,
-validated to sum to 1 within 1e-4, and renormalized. Branch lineage fields
-are forwarded opaquely so servers can reuse caches.
+a softmax; "logprobs" are exponentiated, validated to sum to 1 within 5e-3,
+and renormalized. Branch lineage fields are forwarded opaquely so servers
+can reuse caches.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from ..branching import softmax_with_temperature
-from ..core import BranchState, ProtocolError, TokenDistribution, TokenId, TransportError
+from ..branching import softmax
+from ..core import BranchState, InvalidInputError, ProtocolError, TokenDistribution, TokenId, TransportError
 from .base import DistributionProvider
 
 # acceptance window for raw logprob payload sums; 0.999 must renormalize
@@ -42,8 +42,9 @@ class RemoteProvider(DistributionProvider):
         max_attempts: int = 3,
         session: requests.Session | None = None,
     ):
+        if temperature != 1.0:
+            raise InvalidInputError(f"temperature {temperature}: set DtsConfig.temperature instead")
         self.endpoint = endpoint.rstrip("/")
-        self.temperature = float(temperature)
         self.timeout = float(timeout)
         self.max_attempts = int(max_attempts)
         self.session = session or requests.Session()
@@ -87,7 +88,7 @@ class RemoteProvider(DistributionProvider):
                 f"server sent {len(values)} values, expected vocab_size {self.vocab_size}"
             )
         if self.kind == "logits":
-            return softmax_with_temperature(values, self.temperature)
+            return softmax(values)
         probs = np.exp(np.asarray(values, dtype=np.float64))
         total = float(probs.sum())
         if abs(total - 1.0) > _SUM_TOL:

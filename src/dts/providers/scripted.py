@@ -2,19 +2,18 @@
 
 The exact-test fixture. Each rule maps a context suffix to a logit vector;
 the first rule whose suffix matches the end of prompt + generated tokens
-wins, and a default vector applies when none match. Logits pass through
-temperature-scaled softmax, so entropy at each scripted position is fully
+wins, and a default vector applies when none match. The distribution is the
+softmax of the matched logits, so entropy at each scripted position is fully
 under the test author's control.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Optional, Sequence
 
-from ..branching import softmax_with_temperature
+from ..branching import softmax
 from ..core import InvalidInputError, TokenDistribution, TokenId, token_ids
-from .base import DistributionProvider
+from .base import DistributionProvider, read_json_file
 
 
 class ScriptedModel(DistributionProvider):
@@ -22,39 +21,33 @@ class ScriptedModel(DistributionProvider):
         self,
         rules: Sequence[tuple[Sequence[TokenId], Sequence[float]]],
         default_logits: Sequence[float],
-        temperature: float = 1.0,
         end_tokens: Optional[Sequence[TokenId]] = None,
         vocab: Optional[Sequence[str]] = None,
     ):
-        self.default_logits = tuple(float(x) for x in default_logits)
-        self.vocab_size = len(self.default_logits)
+        self.default = softmax(default_logits)
+        self.vocab_size = self.default.vocab_size
         self.rules = tuple(
-            (token_ids(suffix, self.vocab_size), tuple(float(x) for x in logits))
-            for suffix, logits in rules
+            (token_ids(suffix, self.vocab_size), softmax(logits)) for suffix, logits in rules
         )
-        for suffix, logits in self.rules:
-            if len(logits) != self.vocab_size:
+        for suffix, dist in self.rules:
+            if dist.vocab_size != self.vocab_size:
                 raise InvalidInputError("every rule must provide one logit per vocabulary token")
-        self.temperature = float(temperature)
         if end_tokens is None:
             end_tokens = [self.vocab_size - 1]
         self.end_tokens = frozenset(int(t) for t in end_tokens)
         self.vocab = tuple(vocab) if vocab is not None else None
         self._check_vocab()
 
-    def raw_logits(self, prompt: tuple[TokenId, ...], tokens: tuple[TokenId, ...]) -> tuple[float, ...]:
-        """The matched rule's logits before temperature scaling."""
-        context = tuple(prompt) + tuple(tokens)
-        for suffix, logits in self.rules:
-            if len(suffix) <= len(context) and context[len(context) - len(suffix):] == suffix:
-                return logits
-        return self.default_logits
-
     def distribution(self, prompt, tokens) -> TokenDistribution:
-        return softmax_with_temperature(self.raw_logits(prompt, tokens), self.temperature)
+        """The softmax of the first rule whose suffix ends prompt + tokens."""
+        context = tuple(prompt) + tuple(tokens)
+        for suffix, dist in self.rules:
+            if len(suffix) <= len(context) and context[len(context) - len(suffix):] == suffix:
+                return dist
+        return self.default
 
     @classmethod
-    def from_file(cls, path: str, temperature: float = 1.0) -> "ScriptedModel":
+    def from_file(cls, path: str) -> "ScriptedModel":
         """Load the JSON rule list format.
 
         The file is a JSON array. Entries with "suffix" and "logits" are
@@ -62,10 +55,9 @@ class ScriptedModel(DistributionProvider):
         fallback logits. Optional entries: {"end_tokens": [...]} and
         {"vocab": [...]}.
         """
-        with open(path, encoding="utf-8") as fh:
-            entries = json.load(fh)
-        if not isinstance(entries, list):
-            raise InvalidInputError("scripted model file must hold a JSON array")
+        entries = read_json_file(path)
+        if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+            raise InvalidInputError(f"{path}: scripted model file must hold a JSON array of objects")
         rules = []
         default = None
         end_tokens = None
@@ -80,7 +72,7 @@ class ScriptedModel(DistributionProvider):
             elif "vocab" in entry:
                 vocab = entry["vocab"]
             else:
-                raise InvalidInputError(f"unrecognized scripted model entry: {sorted(entry)}")
+                raise InvalidInputError(f"{path}: unrecognized scripted model entry: {sorted(entry)}")
         if default is None:
-            raise InvalidInputError("scripted model file must include a default logits entry")
-        return cls(rules, default, temperature=temperature, end_tokens=end_tokens, vocab=vocab)
+            raise InvalidInputError(f"{path}: scripted model file must include a default logits entry")
+        return cls(rules, default, end_tokens=end_tokens, vocab=vocab)

@@ -1,9 +1,9 @@
 """Reference stub server exposing any local provider over the wire protocol.
 
 Meant for protocol conformance testing and for driving the engine against a
-provider running in another process. Zero-probability entries are shipped as
-the sentinel logprob -1e9, which exponentiates back to exactly 0.0, keeping
-payloads valid strict JSON.
+provider running in another process. Rows are shipped as log-probabilities
+under either ``kind``; zero-probability entries as the sentinel logprob -1e9,
+which exponentiates back to exactly 0.0, keeping payloads valid strict JSON.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from ..core import BranchState, token_ids
 from .base import DistributionProvider
 
 _NEG_INF_SENTINEL = -1e9
+# a step request at B=32, L=4096 with five-digit ids is about 1 MB; larger bodies are refused unread
+_MAX_BODY_BYTES = 64 * 2**20
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -51,7 +53,19 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json({"error": f"unknown path {self.path}"}, status=404)
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
+            length = int(self.headers["Content-Length"])
+        except (TypeError, ValueError):
+            length = -1
+        # the body is left unread, so the connection cannot carry another request
+        if length < 0:
+            self.close_connection = True
+            self._send_json({"error": "bad request: Content-Length must be an integer >= 0"}, status=400)
+            return
+        if length > _MAX_BODY_BYTES:
+            self.close_connection = True
+            self._send_json({"error": f"request body over {_MAX_BODY_BYTES} bytes"}, status=413)
+            return
+        try:
             request = json.loads(self.rfile.read(length))
             vocab_size = self.server.provider.vocab_size
             prompt = token_ids(request["prompt"], vocab_size)
@@ -106,10 +120,7 @@ class ProviderServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def values_for(self, prompt, sequences) -> list[list[float]]:
-        provider = self.provider
-        if self.kind == "logits" and hasattr(provider, "raw_logits"):
-            return [list(provider.raw_logits(prompt, tuple(s.tokens))) for s in sequences]
-        rows = provider.next_distributions(prompt, sequences)
+        rows = self.provider.next_distributions(prompt, sequences)
         return [
             [math.log(p) if p > 0.0 else _NEG_INF_SENTINEL for p in map(float, dist.probs)]
             for dist in rows

@@ -118,7 +118,7 @@ def two_fork_scripted() -> ScriptedModel:
         ([1, 3], one_hot_logits(V, 0)),
         ([1], one_hot_logits(V, 2, 3)),
     ]
-    return ScriptedModel(rules, one_hot_logits(V, 1), temperature=1.0, end_tokens=[5])
+    return ScriptedModel(rules, one_hot_logits(V, 1), end_tokens=[5])
 
 TWO_FORK_WINNER = (1, 2, 4, 0, 5)
 

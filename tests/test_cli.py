@@ -22,6 +22,20 @@ def scripted_file(tmp_path):
 
 
 @pytest.fixture()
+def pfsa_file(tmp_path):
+    payload = {
+        "initial_state": "s0",
+        "end_tokens": [2],
+        "states": {
+            "s0": {"emissions": [0.6, 0.3, 0.1], "transitions": {"0": "s0", "1": "s0"}},
+        },
+    }
+    path = tmp_path / "pfsa.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.fixture()
 def corpus_file(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("a b a b a b\nb a b a\na a b <e>\n")
@@ -95,6 +109,44 @@ class TestRun:
         code, _, err = run_cli(capsys, ["run", "--provider", "scripted", "--max-tokens", "4"])
         assert code == 1 and "model-file" in err
 
+    def test_temperature_changes_a_pfsa_run(self, capsys, pfsa_file):
+        argv = ["run", "--provider", "pfsa", "--model-file", pfsa_file, "--tau", "0.5", "--seed", "4"]
+        outputs = [run_cli(capsys, argv + ["--temperature", t])[1] for t in ("0.3", "1.0")]
+        assert outputs[0] != outputs[1]
+
+    def test_bad_end_tokens_is_clean_error(self, capsys, pfsa_file):
+        code, out, err = run_cli(capsys, [
+            "run", "--provider", "pfsa", "--model-file", pfsa_file, "--end-tokens", "x",
+        ])
+        assert code == 1 and out == ""
+        assert err.startswith("error: --end-tokens")
+
+
+class TestFilesFailCleanly:
+    @pytest.mark.parametrize("argv", [
+        ["report", "--records", "{missing}"],
+        ["eval", "--provider", "pfsa", "--model-file", "{pfsa}", "--dataset", "{missing}", "--out", "{out}"],
+        ["run", "--provider", "pfsa", "--model-file", "{missing}"],
+        ["run", "--provider", "ngram", "--corpus", "{missing}"],
+    ], ids=["records", "dataset", "model-file", "corpus"])
+    def test_missing_file(self, capsys, tmp_path, pfsa_file, argv):
+        names = {"missing": str(tmp_path / "missing"), "pfsa": pfsa_file, "out": str(tmp_path / "out")}
+        code, out, err = run_cli(capsys, [arg.format(**names) for arg in argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "missing" in err
+
+    @pytest.mark.parametrize("provider,content", [
+        ("pfsa", {"end_tokens": [1], "states": {"s0": {"emissions": [0.5, 0.5]}}}),
+        ("pfsa", "{not json"),
+        ("scripted", "{not json"),
+    ], ids=["pfsa-without-initial-state", "pfsa-not-json", "scripted-not-json"])
+    def test_malformed_model_file_names_the_file(self, capsys, tmp_path, provider, content):
+        path = tmp_path / "model.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        code, out, err = run_cli(capsys, ["run", "--provider", provider, "--model-file", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: ")
+
 
 class TestEvalAndReport:
     def test_end_to_end_flow(self, capsys, tmp_path, scripted_file):
@@ -123,6 +175,15 @@ class TestEvalAndReport:
         assert table["deltas"]["accuracy_points"] == 0.0
         assert len(scatter.read_text().strip().splitlines()) == 13
         assert (tmp_path / "scatter.fit.json").exists()
+
+    def test_bad_seeds_is_clean_error(self, capsys, tmp_path, scripted_file):
+        dataset = tmp_path / "items.jsonl"
+        dataset.write_text(json.dumps({"id": "q0", "prompt": "", "answer": "7"}) + "\n")
+        code, _, err = run_cli(capsys, [
+            "eval", "--provider", "scripted", "--model-file", scripted_file,
+            "--dataset", str(dataset), "--seeds", "x", "--out", str(tmp_path / "records.jsonl"),
+        ])
+        assert code == 1 and err.startswith("error: --seeds")
 
     def test_report_rejects_string_bool(self, capsys, tmp_path):
         line = {

@@ -151,6 +151,15 @@ def test_config_validation(kwargs):
         DtsConfig(**base)
 
 
+@pytest.mark.parametrize("bad", [2.7, True, "1", None, -1], ids=["float", "bool", "string", "none", "negative"])
+def test_config_end_tokens_are_strict(bad):
+    # the vocabulary range is the engine's check; the type rule is token_ids'
+    with pytest.raises(InvalidInputError):
+        DtsConfig(tau=1.0, k=2, temperature=1.0, max_tokens=8, end_tokens={2, bad})
+    cfg = DtsConfig(tau=1.0, k=2, temperature=1.0, max_tokens=8, end_tokens={np.int64(2), 99})
+    assert cfg.end_tokens == frozenset({2, 99}) and all(type(t) is int for t in cfg.end_tokens)
+
+
 def test_token_ids_accepts_python_and_numpy_integers():
     assert token_ids([0, np.int64(2), np.uint8(1)], 3) == (0, 2, 1)
     assert all(type(t) is int for t in token_ids(np.arange(3), 3))

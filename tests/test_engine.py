@@ -19,7 +19,7 @@ from dts import (
     run_standard,
     select_result,
 )
-from dts.branching import top_k_tokens
+from dts.branching import entropy, top_k_tokens
 
 from support import (
     RecordingProvider,
@@ -242,7 +242,7 @@ def chain_scripted(tokens, vocab=6):
         else:
             rules.append((list(tokens[:i]), one_hot_logits(vocab, token)))
     rules.reverse()
-    return ScriptedModel(rules, default, temperature=1.0, end_tokens=[vocab - 1])
+    return ScriptedModel(rules, default, end_tokens=[vocab - 1])
 
 
 class TestRunDts:
@@ -298,6 +298,17 @@ class TestRunDts:
         provider = chain_scripted([5])
         with pytest.raises(InvalidInputError):
             run_dts(provider, [], config(k=7))
+
+    def test_temperature_lowers_traced_entropy(self):
+        # providers are temperature-free: the engine rescales their rows,
+        # and at temperature 1 it passes them on untouched
+        provider = ScriptedModel([], [2.0, 0.0, 1.0], end_tokens=[2])
+        entropies = []
+        for t in (0.5, 1.0, 4.0):
+            result = run_dts(provider, [], config(tau=math.inf, temperature=t, end_tokens=frozenset({2})))
+            entropies.append(result.traces[0].entropy)
+        assert entropies[0] < entropies[1] < entropies[2]
+        assert entropies[1] == entropy(provider.distribution((), ()))
 
     def test_provider_failure_carries_step_context(self):
         from dts import DistributionProvider
@@ -449,13 +460,16 @@ class TestEquivalenceAndBudget:
         k=st.integers(min_value=1, max_value=3),
         budget=st.integers(min_value=1, max_value=8),
         max_tokens=st.integers(min_value=1, max_value=24),
+        temperature=st.sampled_from([0.3, 1.0, 3.0]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_pfsa_run_invariants(self, seed, tau, k, budget, max_tokens):
+    def test_random_pfsa_run_invariants(self, seed, tau, k, budget, max_tokens, temperature):
+        # the emissions are sparse: a zero that a temperature made positive
+        # would lead the automaton to a token it has no transition for
         provider = random_pfsa(seed)
         cfg = config(
             tau=tau, k=k, max_branches=budget, max_tokens=max_tokens,
-            end_tokens=provider.end_tokens, seed=seed,
+            end_tokens=provider.end_tokens, seed=seed, temperature=temperature,
         )
         result = run_dts(provider, [], cfg)
         assert result.peak_frontier_size <= budget

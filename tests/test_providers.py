@@ -44,11 +44,6 @@ class TestScripted:
         assert model.distribution((7,), (1,)).probs[2] > 0.99
         assert model.distribution((), (1,)).probs[2] == pytest.approx(0.125)
 
-    def test_temperature_applied(self):
-        hot = ScriptedModel([], [2.0, 0.0], temperature=0.5, end_tokens=[1])
-        cold = ScriptedModel([], [2.0, 0.0], temperature=4.0, end_tokens=[1])
-        assert hot.distribution((), ()).probs[0] > cold.distribution((), ()).probs[0]
-
     def test_file_roundtrip(self, tmp_path):
         payload = [
             {"suffix": [1], "logits": [5.0, 0.0, 0.0]},

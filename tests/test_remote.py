@@ -1,5 +1,6 @@
 import json
 import math
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -9,6 +10,7 @@ import pytest
 from dts import (
     BranchState,
     DtsConfig,
+    InvalidInputError,
     PfsaModel,
     ProtocolError,
     ProviderServer,
@@ -58,22 +60,29 @@ class TestStubServerRoundTrip:
             dist = remote.next_distributions((), [seq()])[0]
             assert dist.probs[3] == 0.0
 
-    def test_logits_kind_is_bit_exact_for_scripted(self):
-        # the server forwards raw rule logits; the client applies the same
-        # temperature softmax the in-process model uses
+    def test_logits_kind_matches_local_distribution(self, pfsa):
+        # the server ships log-probabilities under either kind; the client's
+        # softmax of them gives back the local distribution, zeros included
         scripted = ScriptedModel(
             rules=[([1], [3.0, 1.0, 0.5])],
             default_logits=[0.2, 0.1, 2.0],
-            temperature=0.7,
             end_tokens=[2],
         )
-        with ProviderServer(scripted, kind="logits") as server:
-            remote = RemoteProvider(server.url, temperature=0.7)
-            assert remote.kind == "logits"
-            for tokens in [(), (1,), (0, 1)]:
-                a = scripted.distribution((), tokens)
-                b = remote.next_distributions((), [seq(*tokens)])[0]
-                assert np.array_equal(a.probs, b.probs)
+        for model in (scripted, pfsa):
+            with ProviderServer(model, kind="logits") as server:
+                remote = RemoteProvider(server.url)
+                assert remote.kind == "logits"
+                for tokens in [(), (1,), (0, 1)]:
+                    a = model.distribution((), tokens)
+                    b = remote.next_distributions((), [seq(*tokens)])[0]
+                    assert np.allclose(a.probs, b.probs, rtol=0.0, atol=1e-12)
+                    assert np.array_equal(a.probs == 0.0, b.probs == 0.0)
+
+    def test_remote_provider_refuses_a_temperature(self, pfsa):
+        with ProviderServer(pfsa) as server:
+            RemoteProvider(server.url, temperature=1.0)
+            with pytest.raises(InvalidInputError, match="DtsConfig.temperature"):
+                RemoteProvider(server.url, temperature=0.7)
 
     def test_remote_run_matches_local_run(self, pfsa):
         cfg = DtsConfig(
@@ -253,6 +262,21 @@ class TestServerSideValidation:
             for key, value in change.items():
                 (request if key == "prompt" else sequence)[key] = value
             assert requests.post(url, json=request, timeout=5).status_code == 400
+
+    @pytest.mark.parametrize(
+        "length,status",
+        [("-1", 400), ("100000000", 413), ("x", 400), (None, 400)],
+        ids=["negative", "over-cap", "non-integer", "missing"],
+    )
+    def test_bad_content_length_answered_unread(self, pfsa, length, status):
+        # no body follows the headers: a server that tries to read one never answers
+        header = "" if length is None else f"Content-Length: {length}\r\n"
+        with ProviderServer(pfsa) as server:
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(f"POST /v1/distribution HTTP/1.1\r\nHost: {host}\r\n{header}\r\n".encode())
+                status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == str(status).encode()
 
     def test_many_sequential_calls(self):
         model = random_pfsa(3, require_path_within=6)
