@@ -32,7 +32,10 @@ class BranchDecision:
 
 def softmax(logits) -> TokenDistribution:
     """Numerically stable softmax; a ``-inf`` logit is probability 0."""
-    arr = np.asarray(logits, dtype=np.float64)
+    try:
+        arr = np.asarray(logits, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"logits must be numbers: {exc}") from None
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidInputError("logits must be a non-empty 1-d vector")
     # NaN and +inf fail the first test, an all -inf vector the second

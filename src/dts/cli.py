@@ -201,7 +201,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DtsError, OSError) as exc:
+    # a file that is not UTF-8 raises UnicodeDecodeError, a ValueError
+    except (DtsError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

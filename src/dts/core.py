@@ -61,10 +61,12 @@ def token_ids(values: Iterable[Any], vocab_size: float = math.inf) -> tuple[Toke
     """
     ids = []
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        # an exact type test: bool is an int subclass, and is not an id
+        if type(value) is not int and not isinstance(value, np.integer):
             raise InvalidInputError(f"token id {value!r} is not an integer")
         if not 0 <= value < vocab_size:
-            raise InvalidInputError(f"token id {value} outside vocabulary of size {vocab_size}")
+            where = "is negative" if value < 0 else f"outside vocabulary of size {vocab_size}"
+            raise InvalidInputError(f"token id {value} {where}")
         ids.append(int(value))
     return tuple(ids)
 
@@ -173,7 +175,10 @@ class TokenDistribution(JsonRecord):
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=np.float64)
+        try:
+            arr = np.array(self.probs, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"distribution entries must be numbers: {exc}") from None
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("distribution must be a non-empty 1-d vector")
         if not np.all(np.isfinite(arr)):

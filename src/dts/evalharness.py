@@ -135,20 +135,10 @@ def load_dataset(path) -> list[EvalItem]:
     return items
 
 
-def extract_answer(output_text: str, pattern: Optional[str | re.Pattern] = None) -> Optional[str]:
-    """Pull the final answer out of generated text.
-
-    Default rule: the content of the last boxed-answer occurrence, else the
-    last standalone integer. A custom regex takes group 1 when present,
-    otherwise the whole match; the last match wins.
+def extract_answer(output_text: str) -> Optional[str]:
+    """Pull the final answer out of generated text: the content of the last
+    boxed-answer occurrence, else the last standalone integer.
     """
-    if pattern is not None:
-        compiled = re.compile(pattern) if isinstance(pattern, str) else pattern
-        matches = list(compiled.finditer(output_text))
-        if not matches:
-            return None
-        match = matches[-1]
-        return (match.group(1) if compiled.groups else match.group(0)).strip()
     boxed = list(_BOXED_RE.finditer(output_text))
     if boxed:
         return boxed[-1].group(1).strip()

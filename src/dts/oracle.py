@@ -3,12 +3,11 @@
 Ground truth for shortest-path and probability claims. Enumeration treats
 every positive-probability token as a child, so it bounds all realizable
 outputs regardless of sampling luck. Cost is counted in provider calls and
-capped by a work limit (DTS_WORK_LIMIT overrides the default).
+capped by a work limit.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +15,6 @@ from .core import BranchState, DtsConfig, InvalidInputError, JsonRecord, Resourc
 from .engine import run_dts
 
 DEFAULT_WORK_LIMIT = 10_000_000
-WORK_LIMIT_ENV = "DTS_WORK_LIMIT"
 
 
 @dataclass(frozen=True)
@@ -34,19 +32,12 @@ class EnumeratedPath(JsonRecord):
             raise InvalidInputError("length must equal the token count")
 
 
-def _effective_work_limit(work_limit: int | None) -> int:
-    if work_limit is not None:
-        return int(work_limit)
-    env = os.environ.get(WORK_LIMIT_ENV)
-    return int(env) if env else DEFAULT_WORK_LIMIT
-
-
 def enumerate_tree(
     provider,
     prompt: Sequence[TokenId],
     max_len: int,
     prob_floor: float = 0.0,
-    work_limit: int | None = None,
+    work_limit: int = DEFAULT_WORK_LIMIT,
 ) -> list[EnumeratedPath]:
     """Depth-first enumeration of every terminating sequence up to ``max_len``.
 
@@ -58,7 +49,6 @@ def enumerate_tree(
         raise InvalidInputError("max_len must be >= 1")
     if prob_floor < 0.0:
         raise InvalidInputError("prob_floor must be >= 0")
-    limit = _effective_work_limit(work_limit)
     prompt = token_ids(prompt, provider.vocab_size)
     end_tokens = provider.end_tokens
     paths: list[EnumeratedPath] = []
@@ -73,9 +63,9 @@ def enumerate_tree(
             paths.append(EnumeratedPath(tokens=tokens, probability=prob, length=len(tokens)))
             continue
         calls += 1
-        if calls > limit:
+        if calls > work_limit:
             raise ResourceLimitError(
-                f"enumeration exceeded the work limit of {limit} provider calls"
+                f"enumeration exceeded the work limit of {work_limit} provider calls"
             )
         state = BranchState(tokens=tokens, cumulative_logprob=0.0, finished=False, branch_id=0)
         dist = provider.next_distributions(prompt, [state])[0]
@@ -114,7 +104,7 @@ def verify_dts_against_oracle(
     provider,
     prompt: Sequence[TokenId],
     config: DtsConfig,
-    work_limit: int | None = None,
+    work_limit: int = DEFAULT_WORK_LIMIT,
 ) -> bool:
     """True iff the engine's output length equals the enumerated minimum.
 

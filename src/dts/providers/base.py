@@ -11,16 +11,29 @@ from __future__ import annotations
 
 import abc
 import json
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
+
+import numpy as np
 
 from ..core import BranchState, InvalidInputError, TokenDistribution, TokenId, token_ids
 
 
 class DistributionProvider(abc.ABC):
-    vocab_size: int
-    end_tokens: frozenset[TokenId]
-    #: optional word per token id, used for text prompts and output decoding
-    vocab: Optional[tuple[str, ...]] = None
+    def __init__(self, vocab_size: int, end_tokens: Iterable[TokenId], vocab: Optional[Sequence[str]] = None):
+        """The one check of a provider's vocabulary size, recommended end tokens and
+        optional words (one per token id, used for text prompts and output decoding)."""
+        if isinstance(vocab_size, bool) or not isinstance(vocab_size, (int, np.integer)) or vocab_size < 2:
+            raise InvalidInputError(f"vocab_size {vocab_size!r} is not an integer >= 2")
+        self.vocab_size = int(vocab_size)
+        self.end_tokens = frozenset(token_ids(end_tokens, self.vocab_size))
+        if not self.end_tokens:
+            raise InvalidInputError("provider must recommend at least one end token")
+        if vocab is not None:
+            vocab = tuple(vocab)
+            if len(vocab) != self.vocab_size or not all(isinstance(word, str) for word in vocab):
+                raise InvalidInputError(f"vocab must hold one string per token id, {self.vocab_size} in all")
+        self.vocab = vocab
+        self._word_ids = {word: i for i, word in enumerate(vocab or ())}
 
     @abc.abstractmethod
     def distribution(self, prompt: tuple[TokenId, ...], tokens: tuple[TokenId, ...]) -> TokenDistribution:
@@ -30,14 +43,8 @@ class DistributionProvider(abc.ABC):
         self, prompt: Sequence[TokenId], sequences: Sequence[BranchState]
     ) -> list[TokenDistribution]:
         """Batched query, one distribution per sequence, order-aligned."""
-        prompt = tuple(int(t) for t in prompt)
+        prompt = tuple(prompt)
         return [self.distribution(prompt, tuple(s.tokens)) for s in sequences]
-
-    def _word_to_id(self) -> dict[str, int]:
-        if not hasattr(self, "_word_map"):
-            words = self.vocab or ()
-            self._word_map = {w: i for i, w in enumerate(words)}
-        return self._word_map
 
     def encode(self, text: str) -> list[TokenId]:
         """Whitespace tokenization against the provider vocabulary.
@@ -45,7 +52,7 @@ class DistributionProvider(abc.ABC):
         Words not in the vocabulary fall back to integer literals; anything
         else is dropped, so free-form prompt text never aborts a run.
         """
-        mapping = self._word_to_id()
+        mapping = self._word_ids
         ids: list[TokenId] = []
         for word in text.split():
             if word in mapping:
@@ -62,16 +69,7 @@ class DistributionProvider(abc.ABC):
     def decode(self, tokens: Sequence[TokenId]) -> str:
         if self.vocab is not None:
             return " ".join(self.vocab[t] for t in tokens)
-        return " ".join(str(int(t)) for t in tokens)
-
-    def _check_vocab(self):
-        if self.vocab_size < 2:
-            raise InvalidInputError("vocabulary must hold at least two tokens")
-        if not self.end_tokens:
-            raise InvalidInputError("provider must recommend at least one end token")
-        token_ids(self.end_tokens, self.vocab_size)
-        if self.vocab is not None and len(self.vocab) != self.vocab_size:
-            raise InvalidInputError("vocab word list must match vocab_size")
+        return " ".join(map(str, tokens))
 
 
 def read_json_file(path: str) -> Any:

@@ -8,12 +8,13 @@ terminate.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core import InvalidInputError, TokenDistribution, TokenId
+from ..core import InvalidInputError, TokenDistribution, TokenId, token_ids
 from .base import DistributionProvider
 
 
@@ -31,14 +32,11 @@ class NGramModel(DistributionProvider):
             raise InvalidInputError("n-gram order must be >= 1")
         if not alpha > 0.0:
             raise InvalidInputError("smoothing constant alpha must be > 0")
+        super().__init__(vocab_size, end_tokens, vocab)
         self.n = int(n)
         self.alpha = float(alpha)
         self.counts = {tuple(ctx): Counter(c) for ctx, c in counts.items()}
         self.context_totals = {ctx: sum(c.values()) for ctx, c in self.counts.items()}
-        self.vocab_size = int(vocab_size)
-        self.end_tokens = frozenset(int(t) for t in end_tokens)
-        self.vocab = tuple(vocab) if vocab is not None else None
-        self._check_vocab()
         self._cache: dict[tuple[TokenId, ...], TokenDistribution] = {}
 
     def _context(self, prompt, tokens) -> tuple[TokenId, ...]:
@@ -92,25 +90,22 @@ def train_ngram(
 ) -> NGramModel:
     """Count all length-n windows of the corpus into an NGramModel.
 
-    When ``vocab_size`` is omitted it is inferred as max token id + 2,
-    reserving one fresh id to act as the end token.
+    Corpus ids are checked against ``vocab_size``; when it is omitted it is
+    inferred as max token id + 2, reserving one fresh id to act as the end
+    token. The end token defaults to the last id.
     """
+    # checked before the window loop, which cannot count windows of length < 1
     if n < 1:
         raise InvalidInputError("n-gram order must be >= 1")
     if not alpha > 0.0:
         raise InvalidInputError("smoothing constant alpha must be > 0")
-    sequences = [tuple(int(t) for t in seq) for seq in corpus]
-    if not sequences or all(not seq for seq in sequences):
+    sequences = [token_ids(seq, math.inf if vocab_size is None else vocab_size) for seq in corpus]
+    if not any(sequences):
         raise InvalidInputError("corpus is empty")
-    max_token = max((t for seq in sequences for t in seq), default=-1)
     if vocab_size is None:
-        vocab_size = max_token + 2
-        if end_tokens is None:
-            end_tokens = [max_token + 1]
-    elif end_tokens is None:
+        vocab_size = max(max(seq, default=-1) for seq in sequences) + 2
+    if end_tokens is None:
         end_tokens = [vocab_size - 1]
-    if max_token >= vocab_size:
-        raise InvalidInputError("corpus token exceeds vocab_size")
 
     counts: dict[tuple[TokenId, ...], Counter] = {}
     for seq in sequences:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Hashable, Optional, Sequence
 
-import numpy as np
-
 from ..core import InvalidInputError, TokenDistribution, TokenId
 from .base import DistributionProvider, read_json_file
 
@@ -38,21 +36,18 @@ class PfsaModel(DistributionProvider):
         sizes = {len(row) for row in emissions.values()}
         if len(sizes) != 1:
             raise InvalidInputError("all emission rows must have the same length")
-        self.vocab_size = sizes.pop()
-        self.end_tokens = frozenset(int(t) for t in end_tokens)
-        self.vocab = tuple(vocab) if vocab is not None else None
-        self._check_vocab()
+        super().__init__(sizes.pop(), end_tokens, vocab)
 
         self.initial_state = initial_state
         self.transitions = {s: dict(t) for s, t in transitions.items()}
         self.emissions: dict[State, TokenDistribution] = {}
         for state, row in emissions.items():
-            arr = np.asarray(row, dtype=np.float64)
-            if abs(float(arr.sum()) - 1.0) > _EMISSION_SUM_TOL:
+            dist = TokenDistribution(row)
+            if abs(float(dist.probs.sum()) - 1.0) > _EMISSION_SUM_TOL:
                 raise InvalidInputError(f"emissions of state {state!r} do not sum to 1")
-            self.emissions[state] = TokenDistribution(arr)
+            self.emissions[state] = dist
             for token in range(self.vocab_size):
-                if float(arr[token]) > 0.0 and token not in self.end_tokens:
+                if float(dist.probs[token]) > 0.0 and token not in self.end_tokens:
                     target = self.transitions.get(state, {}).get(token)
                     if target is None:
                         raise InvalidInputError(
@@ -111,7 +106,7 @@ class PfsaModel(DistributionProvider):
         try:
             for name, spec in data["states"].items():
                 emissions[name] = spec["emissions"]
-                transitions[name] = {int(t): s for t, s in spec.get("transitions", {}).items()}
+                transitions[name] = {int(key): s for key, s in spec.get("transitions", {}).items()}
             initial_state = data["initial_state"]
             end_tokens = data["end_tokens"]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -51,14 +51,12 @@ class RemoteProvider(DistributionProvider):
 
         meta = self._request("GET", "/v1/meta")
         try:
-            self.vocab_size = int(meta["vocab_size"])
-            self.end_tokens = frozenset(int(t) for t in meta["end_tokens"])
+            super().__init__(meta["vocab_size"], meta["end_tokens"])
             self.kind = meta["kind"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, InvalidInputError) as exc:
             raise ProtocolError(f"malformed handshake payload: {meta!r}") from exc
         if self.kind not in ("logits", "logprobs"):
             raise ProtocolError(f"unknown payload kind {self.kind!r}")
-        self._check_vocab()
 
     def _request(self, method: str, path: str, payload=None):
         url = self.endpoint + path
@@ -103,7 +101,7 @@ class RemoteProvider(DistributionProvider):
         self, prompt: Sequence[TokenId], sequences: Sequence[BranchState]
     ) -> list[TokenDistribution]:
         payload = {
-            "prompt": [int(t) for t in prompt],
+            "prompt": list(prompt),
             "sequences": [
                 {
                     "branch_id": s.branch_id,

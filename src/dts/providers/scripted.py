@@ -25,18 +25,15 @@ class ScriptedModel(DistributionProvider):
         vocab: Optional[Sequence[str]] = None,
     ):
         self.default = softmax(default_logits)
-        self.vocab_size = self.default.vocab_size
+        if end_tokens is None:
+            end_tokens = [self.default.vocab_size - 1]
+        super().__init__(self.default.vocab_size, end_tokens, vocab)
         self.rules = tuple(
             (token_ids(suffix, self.vocab_size), softmax(logits)) for suffix, logits in rules
         )
         for suffix, dist in self.rules:
             if dist.vocab_size != self.vocab_size:
                 raise InvalidInputError("every rule must provide one logit per vocabulary token")
-        if end_tokens is None:
-            end_tokens = [self.vocab_size - 1]
-        self.end_tokens = frozenset(int(t) for t in end_tokens)
-        self.vocab = tuple(vocab) if vocab is not None else None
-        self._check_vocab()
 
     def distribution(self, prompt, tokens) -> TokenDistribution:
         """The softmax of the first rule whose suffix ends prompt + tokens."""

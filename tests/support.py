@@ -27,10 +27,8 @@ class RecordingProvider(DistributionProvider):
     """Wraps a provider and remembers every distribution it served."""
 
     def __init__(self, inner):
+        super().__init__(inner.vocab_size, inner.end_tokens, inner.vocab)
         self.inner = inner
-        self.vocab_size = inner.vocab_size
-        self.end_tokens = inner.end_tokens
-        self.vocab = inner.vocab
         self.seen = {}
         self.calls = 0
 

@@ -148,6 +148,33 @@ class TestFilesFailCleanly:
         assert err.startswith(f"error: {path}: ")
 
 
+    @pytest.mark.parametrize("provider,content", [
+        ("scripted", [{"default": ["a", 0, 0]}]),
+        ("pfsa", {"initial_state": "s0", "end_tokens": [1],
+                  "states": {"s0": {"emissions": [0.5, "x"], "transitions": {"0": "s0"}}}}),
+    ], ids=["scripted-logit", "pfsa-emission"])
+    def test_non_numeric_model_value_is_clean_error(self, capsys, tmp_path, provider, content):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, ["run", "--provider", provider, "--model-file", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "must be numbers" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--provider", "ngram", "--corpus", "{bad}"],
+        ["run", "--provider", "pfsa", "--model-file", "{pfsa}", "--prompt-file", "{bad}"],
+        ["eval", "--provider", "pfsa", "--model-file", "{pfsa}", "--dataset", "{bad}", "--out", "{out}"],
+        ["report", "--records", "{bad}"],
+    ], ids=["corpus", "prompt-file", "dataset", "records"])
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, pfsa_file, argv):
+        bad = tmp_path / "bad"
+        bad.write_bytes(bytes(range(128, 256)) * 2)
+        names = {"bad": str(bad), "pfsa": pfsa_file, "out": str(tmp_path / "out")}
+        code, out, err = run_cli(capsys, [arg.format(**names) for arg in argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "utf-8" in err
+
+
 class TestEvalAndReport:
     def test_end_to_end_flow(self, capsys, tmp_path, scripted_file):
         dataset = tmp_path / "items.jsonl"

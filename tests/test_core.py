@@ -13,6 +13,7 @@ from dts import (
     StepTrace,
     TokenDistribution,
 )
+from dts.branching import softmax
 from dts.core import token_ids
 
 token_lists = st.lists(st.integers(min_value=0, max_value=500), max_size=12)
@@ -169,6 +170,19 @@ def test_token_ids_accepts_python_and_numpy_integers():
 def test_token_ids_rejects_non_integers_and_out_of_range(bad):
     with pytest.raises(InvalidInputError):
         token_ids([0, bad], 3)
+
+
+def test_token_ids_names_a_negative_id_without_a_vocabulary():
+    with pytest.raises(InvalidInputError, match="token id -1 is negative"):
+        token_ids([0, -1])
+
+
+@pytest.mark.parametrize("bad", [["x", 1.0], [{}, 1.0], [[0.5], [0.5, 0.0]]], ids=["string", "dict", "ragged"])
+def test_non_numeric_entries_are_invalid_input(bad):
+    with pytest.raises(InvalidInputError, match="must be numbers"):
+        TokenDistribution(bad)
+    with pytest.raises(InvalidInputError, match="must be numbers"):
+        softmax(bad)
 
 
 def test_distribution_rejects_entries_above_one():

@@ -314,14 +314,11 @@ class TestRunDts:
         from dts import DistributionProvider
 
         class Exploding(DistributionProvider):
-            vocab_size = 4
-            end_tokens = frozenset({3})
-
             def distribution(self, prompt, tokens):
                 raise RuntimeError("boom")
 
         with pytest.raises(ProviderError, match="step 0") as excinfo:
-            run_dts(Exploding(), [], config(end_tokens=frozenset({3}), k=2))
+            run_dts(Exploding(4, [3]), [], config(end_tokens=frozenset({3}), k=2))
         assert isinstance(excinfo.value.__cause__, RuntimeError)
 
     def test_no_step_after_first_finish(self):

@@ -131,9 +131,6 @@ class TestExtractAnswer:
     def test_negative_integer(self):
         assert extract_answer("result -7") == "-7"
 
-    def test_custom_pattern(self):
-        assert extract_answer("ANSWER: yes; ANSWER: no", pattern=r"ANSWER: (\w+)") == "no"
-
     def test_decimal_not_matched_as_integer(self):
         assert extract_answer("pi is 3.14 but count is 9") == "9"
 

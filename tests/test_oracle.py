@@ -74,11 +74,6 @@ class TestEnumerateTree:
         with pytest.raises(ResourceLimitError, match="3"):
             enumerate_tree(geometric_pfsa(), [], max_len=10, work_limit=3)
 
-    def test_env_var_overrides_limit(self, monkeypatch):
-        monkeypatch.setenv("DTS_WORK_LIMIT", "2")
-        with pytest.raises(ResourceLimitError, match="2"):
-            enumerate_tree(geometric_pfsa(), [], max_len=10)
-
     def test_long_horizon_without_recursion(self):
         # one path: 2999 forced 0 tokens, then the end token 1
         emissions = {i: [1.0, 0.0] for i in range(2999)}

@@ -96,6 +96,21 @@ class TestNGram:
         dist = model.distribution((), (1, 0))
         assert np.allclose(dist.probs, 1.0 / model.vocab_size, atol=1e-12)
 
+    @pytest.mark.parametrize("corpus,vocab_size,message", [
+        ([[0, -1, 1]], None, "negative"),
+        ([[0, 1.7, 1]], None, "not an integer"),
+        ([[0, 3]], 3, "outside vocabulary"),
+    ], ids=["negative", "float", "beyond-vocab"])
+    def test_corpus_ids_checked(self, corpus, vocab_size, message):
+        # a -1 would otherwise be counted as the last id, the end token
+        with pytest.raises(InvalidInputError, match=message):
+            train_ngram(corpus, 2, 1.0, vocab_size=vocab_size)
+
+    @pytest.mark.parametrize("n,alpha", [(0, 1.0), (2, 0.0)])
+    def test_order_and_alpha_checked_before_counting(self, n, alpha):
+        with pytest.raises(InvalidInputError):
+            train_ngram([[0, 1]], n, alpha)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(InvalidInputError):
             train_ngram([], n=2, alpha=1.0)
@@ -175,6 +190,51 @@ class TestPfsa:
         model = PfsaModel.from_file(str(path))
         assert model.vocab_size == 2
         assert model.sequence_probability((0, 1)) == pytest.approx(0.25)
+
+
+def _ngram(end_tokens, vocab=None):
+    return NGramModel(2, 1.0, {}, 3, end_tokens, vocab=vocab)
+
+
+def _pfsa(end_tokens, vocab=None):
+    # a transition on every token, so that only the end-token check can refuse
+    return PfsaModel(0, {0: [0.5, 0.25, 0.25]}, {0: {0: 0, 1: 0, 2: 0}}, end_tokens, vocab=vocab)
+
+
+def _scripted(end_tokens, vocab=None):
+    return ScriptedModel([], [0.0, 0.0, 0.0], end_tokens=end_tokens, vocab=vocab)
+
+
+@pytest.mark.parametrize("build", [_ngram, _pfsa, _scripted], ids=["ngram", "pfsa", "scripted"])
+class TestOneConstructor:
+    """Every provider sets its vocabulary through DistributionProvider.__init__."""
+
+    @pytest.mark.parametrize("end_tokens", [["1"], [2.9], [True], [-1], [3], []],
+                             ids=["string", "float", "bool", "negative", "vocab-size", "empty"])
+    def test_bad_end_tokens_rejected(self, build, end_tokens):
+        with pytest.raises(InvalidInputError, match="token id|end token"):
+            build(end_tokens)
+
+    def test_numpy_end_token_stored_as_int(self, build):
+        model = build([np.int64(2)])
+        assert model.end_tokens == frozenset({2})
+        assert all(type(t) is int for t in model.end_tokens)
+
+    @pytest.mark.parametrize("vocab", [["a", "b"], ["a", "b", 3]], ids=["wrong-length", "non-string"])
+    def test_bad_vocab_rejected(self, build, vocab):
+        with pytest.raises(InvalidInputError, match="vocab"):
+            build([2], vocab)
+
+    def test_words_encode_from_construction(self, build):
+        model = build([2], ["a", "b", "<e>"])
+        assert model.vocab == ("a", "b", "<e>")
+        assert model.encode("b a <e>") == [1, 0, 2]
+
+
+@pytest.mark.parametrize("vocab_size", ["3", 3.0, True, 1], ids=["string", "float", "bool", "one"])
+def test_vocab_size_must_be_an_integer_of_at_least_two(vocab_size):
+    with pytest.raises(InvalidInputError, match="vocab_size"):
+        NGramModel(2, 1.0, {}, vocab_size, [0])
 
 
 class TestProviderContract:

@@ -198,6 +198,16 @@ class TestProtocolValidation:
         with pytest.raises(ProtocolError, match="handshake"):
             self.run_step({"vocab_size": 2}, {})
 
+    @pytest.mark.parametrize("change", [
+        {"vocab_size": "64"},
+        {"end_tokens": [1.5]},
+        {"end_tokens": []},
+        {"end_tokens": 1},
+    ], ids=["string-vocab-size", "float-end-token", "no-end-token", "scalar-end-tokens"])
+    def test_bad_handshake_vocabulary_refused(self, change):
+        with pytest.raises(ProtocolError, match="handshake"):
+            self.run_step({**META, **change}, {})
+
     def test_transient_drops_retried_with_attempt_count(self):
         step = {"distributions": [{"branch_id": 0, "values": [math.log(0.5), math.log(0.5)]}]}
         dist = self.run_step(META, step, fail_first=2, timeout=2.0)[0]
