@@ -20,14 +20,17 @@ from .core import DtsConfig, InvalidInputError, TokenDistribution, TokenId
 class BranchDecision:
     """Tokens chosen for one branch at one position.
 
-    ``branched`` is true only when the decision actually fans out (two or
-    more tokens). ``logprobs`` holds ln P(token), aligned with ``tokens``.
+    ``logprobs`` holds ln P(token), aligned with ``tokens``.
     """
 
     entropy: float
-    branched: bool
     tokens: tuple[TokenId, ...]
     logprobs: tuple[float, ...]
+
+    @property
+    def branched(self) -> bool:
+        """True only when the decision actually fans out (two or more tokens)."""
+        return len(self.tokens) > 1
 
 
 def softmax(logits) -> TokenDistribution:
@@ -115,10 +118,7 @@ def branch_function(dist: TokenDistribution, config: DtsConfig, rng) -> BranchDe
     if h >= config.tau:
         ranked = top_k_tokens(dist, min(config.k, dist.vocab_size))
         selected = [(t, lp) for t, lp in ranked if lp > float("-inf")]
-        if len(selected) >= 2:
-            tokens, logprobs = zip(*selected)
-            return BranchDecision(entropy=h, branched=True, tokens=tokens, logprobs=logprobs)
-        token, logprob = selected[0]
-        return BranchDecision(entropy=h, branched=False, tokens=(token,), logprobs=(logprob,))
-    token, logprob = sample_token(dist, rng)
-    return BranchDecision(entropy=h, branched=False, tokens=(token,), logprobs=(logprob,))
+    else:
+        selected = [sample_token(dist, rng)]
+    tokens, logprobs = zip(*selected)
+    return BranchDecision(entropy=h, tokens=tokens, logprobs=logprobs)

@@ -212,12 +212,6 @@ class BranchState(JsonRecord):
     parent_branch_id: Optional[int] = None
     fork_step: Optional[int] = None
 
-    def __post_init__(self):
-        if self.cumulative_logprob > 0.0:
-            raise InvalidInputError("cumulative log-probability cannot be positive")
-        if self.branch_id < 0:
-            raise InvalidInputError("branch_id must be non-negative")
-
 
 @dataclass(frozen=True)
 class DtsConfig(JsonRecord):
@@ -264,12 +258,6 @@ class StepTrace(JsonRecord):
     entropy: float
     branched: bool
     chosen_tokens: tuple[TokenId, ...]
-
-    def __post_init__(self):
-        if self.branched and len(self.chosen_tokens) < 2:
-            raise InvalidInputError("a branching trace must record at least two tokens")
-        if not self.branched and len(self.chosen_tokens) != 1:
-            raise InvalidInputError("a non-branching trace records exactly one token")
 
 
 @dataclass(frozen=True)

@@ -93,12 +93,7 @@ def apply_budget(
         decision = result[pos]
         remaining = len(order) - walked - 1
         if decision.branched and committed + len(decision.tokens) + remaining > max_branches:
-            decision = BranchDecision(
-                entropy=decision.entropy,
-                branched=False,
-                tokens=decision.tokens[:1],
-                logprobs=decision.logprobs[:1],
-            )
+            decision = BranchDecision(decision.entropy, decision.tokens[:1], decision.logprobs[:1])
             result[pos] = decision
         committed += len(decision.tokens)
     return result

@@ -24,7 +24,7 @@ from .engine import run_dts, run_standard
 
 METHODS = ("dts", "standard")
 
-# repetition detector defaults; report these alongside any quoted rate
+# the repetition detector's fixed parameters; report these alongside any quoted rate
 REPETITION_WINDOW = 256
 REPETITION_MAX_PERIOD = 64
 REPETITION_MIN_REPEATS = 3
@@ -148,25 +148,20 @@ def extract_answer(output_text: str) -> Optional[str]:
     return None
 
 
-def detect_repetition(
-    tokens: Sequence[TokenId],
-    terminated: bool,
-    window: int = REPETITION_WINDOW,
-    max_period: int = REPETITION_MAX_PERIOD,
-    min_repeats: int = REPETITION_MIN_REPEATS,
-) -> bool:
+def detect_repetition(tokens: Sequence[TokenId], terminated: bool) -> bool:
     """Endless-repetition proxy: non-terminated and the tail cycles exactly.
 
-    True iff the run did not terminate and, within the final ``window``
-    tokens, some period p <= ``max_period`` has the last p * min_repeats
-    tokens consist of ``min_repeats`` consecutive copies of one block.
+    True iff the run did not terminate and, within the final
+    ``REPETITION_WINDOW`` tokens, some period p <= ``REPETITION_MAX_PERIOD``
+    has the last p * ``REPETITION_MIN_REPEATS`` tokens consist of that many
+    consecutive copies of one block.
     """
     if terminated:
         return False
-    tail = list(tokens[-window:])
+    tail = list(tokens[-REPETITION_WINDOW:])
     n = len(tail)
-    for period in range(1, min(max_period, n // min_repeats) + 1):
-        span = period * (min_repeats - 1)
+    for period in range(1, min(REPETITION_MAX_PERIOD, n // REPETITION_MIN_REPEATS) + 1):
+        span = period * (REPETITION_MIN_REPEATS - 1)
         if all(tail[n - i] == tail[n - i - period] for i in range(1, span + 1)):
             return True
     return False

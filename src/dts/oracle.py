@@ -19,17 +19,12 @@ DEFAULT_WORK_LIMIT = 10_000_000
 
 @dataclass(frozen=True)
 class EnumeratedPath(JsonRecord):
-    """A complete root-to-leaf sequence and its exact probability."""
+    """A complete root-to-leaf sequence and its probability: the float product
+    of its step probabilities, which underflows to 0.0 on long paths."""
 
     tokens: tuple[TokenId, ...]
     probability: float
     length: int
-
-    def __post_init__(self):
-        if not 0.0 < self.probability <= 1.0:
-            raise InvalidInputError("path probability must lie in (0, 1]")
-        if self.length != len(self.tokens):
-            raise InvalidInputError("length must equal the token count")
 
 
 def enumerate_tree(
@@ -100,19 +95,14 @@ def shortest_terminating(paths: Sequence[EnumeratedPath]) -> tuple[int, list[Enu
     return min_length, at_min
 
 
-def verify_dts_against_oracle(
-    provider,
-    prompt: Sequence[TokenId],
-    config: DtsConfig,
-    work_limit: int = DEFAULT_WORK_LIMIT,
-) -> bool:
+def verify_dts_against_oracle(provider, prompt: Sequence[TokenId], config: DtsConfig) -> bool:
     """True iff the engine's output length equals the enumerated minimum.
 
     With tau = 0, K = vocab_size and an unbounded budget the engine performs
     an exhaustive breadth-first search, so equality must hold; with a
     reduced K the comparison exposes the approximation gap instead.
     """
-    paths = enumerate_tree(provider, prompt, config.max_tokens, 0.0, work_limit)
+    paths = enumerate_tree(provider, prompt, config.max_tokens)
     min_length, _ = shortest_terminating(paths)
     result = run_dts(provider, prompt, config)
     return result.terminated and len(result.output.tokens) == min_length

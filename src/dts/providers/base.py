@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 import json
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,8 @@ class DistributionProvider(abc.ABC):
         if not self.end_tokens:
             raise InvalidInputError("provider must recommend at least one end token")
         if vocab is not None:
-            vocab = tuple(vocab)
+            # a string would split into characters; it is rejected as an empty word list
+            vocab = () if isinstance(vocab, str) else tuple(vocab)
             if len(vocab) != self.vocab_size or not all(isinstance(word, str) for word in vocab):
                 raise InvalidInputError(f"vocab must hold one string per token id, {self.vocab_size} in all")
         self.vocab = vocab
@@ -72,14 +73,20 @@ class DistributionProvider(abc.ABC):
         return " ".join(map(str, tokens))
 
 
-def read_json_file(path: str) -> Any:
-    """The JSON value held in the file at ``path``.
+def read_model_file(path: str, build: Callable[[Any], DistributionProvider]) -> DistributionProvider:
+    """``build`` applied to the JSON value held in the file at ``path``.
 
-    Content that is not JSON raises ``InvalidInputError`` naming the file; a
-    file that cannot be opened raises ``OSError``.
+    Content that is not JSON, and any ``AttributeError``, ``KeyError``,
+    ``TypeError`` or ``ValueError`` that ``build`` raises on a value of the
+    wrong shape, raise ``InvalidInputError`` naming the file; a file that
+    cannot be opened raises ``OSError``.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on a binary file
             raise InvalidInputError(f"{path}: not a JSON file: {exc}") from None
+    try:
+        return build(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from None

@@ -17,6 +17,9 @@ import numpy as np
 from ..core import InvalidInputError, TokenDistribution, TokenId, token_ids
 from .base import DistributionProvider
 
+# the end word of a text-corpus vocabulary, which takes the last token id
+END_WORD = "<e>"
+
 
 class NGramModel(DistributionProvider):
     def __init__(
@@ -59,19 +62,17 @@ class NGramModel(DistributionProvider):
         return dist
 
     @classmethod
-    def from_text_corpus(
-        cls, lines: Sequence[str], n: int, alpha: float, end_word: str = "<e>"
-    ) -> "NGramModel":
+    def from_text_corpus(cls, lines: Sequence[str], n: int, alpha: float) -> "NGramModel":
         """Build from whitespace-tokenized text, one sequence per line.
 
         The vocabulary is the sorted set of corpus words plus the reserved
-        end word, which takes the last token id.
+        end word ``END_WORD``.
         """
         sequences_words = [line.split() for line in lines if line.strip()]
         if not sequences_words:
             raise InvalidInputError("corpus is empty")
-        words = sorted({w for seq in sequences_words for w in seq if w != end_word})
-        vocab = tuple(words) + (end_word,)
+        words = sorted({w for seq in sequences_words for w in seq if w != END_WORD})
+        vocab = tuple(words) + (END_WORD,)
         word_to_id = {w: i for i, w in enumerate(vocab)}
         corpus = [[word_to_id[w] for w in seq] for seq in sequences_words]
         end_token = len(vocab) - 1

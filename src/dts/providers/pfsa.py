@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Hashable, Optional, Sequence
 
 from ..core import InvalidInputError, TokenDistribution, TokenId
-from .base import DistributionProvider, read_json_file
+from .base import DistributionProvider, read_model_file
 
 State = Hashable
 _EMISSION_SUM_TOL = 1e-9
@@ -100,21 +100,18 @@ class PfsaModel(DistributionProvider):
         {"initial_state": ..., "end_tokens": [...], "vocab": [...]?,
          "states": {name: {"emissions": [...], "transitions": {token: name}}}}
         """
-        data = read_json_file(path)
-        emissions = {}
-        transitions = {}
-        try:
-            for name, spec in data["states"].items():
-                emissions[name] = spec["emissions"]
-                transitions[name] = {int(key): s for key, s in spec.get("transitions", {}).items()}
-            initial_state = data["initial_state"]
-            end_tokens = data["end_tokens"]
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"{path}: malformed PFSA file ({type(exc).__name__}: {exc})") from None
+        return read_model_file(path, cls._from_json)
+
+    @classmethod
+    def _from_json(cls, data) -> "PfsaModel":
+        states = data["states"]
         return cls(
-            initial_state=initial_state,
-            emissions=emissions,
-            transitions=transitions,
-            end_tokens=end_tokens,
+            initial_state=data["initial_state"],
+            emissions={name: spec["emissions"] for name, spec in states.items()},
+            transitions={
+                name: {int(key): s for key, s in spec.get("transitions", {}).items()}
+                for name, spec in states.items()
+            },
+            end_tokens=data["end_tokens"],
             vocab=data.get("vocab"),
         )

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from ..branching import softmax
 from ..core import InvalidInputError, TokenDistribution, TokenId, token_ids
-from .base import DistributionProvider, read_json_file
+from .base import DistributionProvider, read_model_file
 
 
 class ScriptedModel(DistributionProvider):
@@ -52,9 +52,12 @@ class ScriptedModel(DistributionProvider):
         fallback logits. Optional entries: {"end_tokens": [...]} and
         {"vocab": [...]}.
         """
-        entries = read_json_file(path)
+        return read_model_file(path, cls._from_json)
+
+    @classmethod
+    def _from_json(cls, entries) -> "ScriptedModel":
         if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
-            raise InvalidInputError(f"{path}: scripted model file must hold a JSON array of objects")
+            raise InvalidInputError("scripted model file must hold a JSON array of objects")
         rules = []
         default = None
         end_tokens = None
@@ -69,7 +72,7 @@ class ScriptedModel(DistributionProvider):
             elif "vocab" in entry:
                 vocab = entry["vocab"]
             else:
-                raise InvalidInputError(f"{path}: unrecognized scripted model entry: {sorted(entry)}")
+                raise InvalidInputError(f"unrecognized scripted model entry: {sorted(entry)}")
         if default is None:
-            raise InvalidInputError(f"{path}: scripted model file must include a default logits entry")
+            raise InvalidInputError("scripted model file must include a default logits entry")
         return cls(rules, default, end_tokens=end_tokens, vocab=vocab)

@@ -13,7 +13,7 @@ import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..core import BranchState, token_ids
+from ..core import BranchState, InvalidInputError, token_ids
 from .base import DistributionProvider
 
 _NEG_INF_SENTINEL = -1e9
@@ -82,6 +82,8 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 for seq in request["sequences"]
             ]
+            if any(seq.branch_id < 0 for seq in sequences):
+                raise InvalidInputError("branch_id must be non-negative")
         except Exception as exc:
             self._send_json({"error": f"bad request: {exc}"}, status=400)
             return

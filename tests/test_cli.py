@@ -139,7 +139,12 @@ class TestFilesFailCleanly:
         ("pfsa", {"end_tokens": [1], "states": {"s0": {"emissions": [0.5, 0.5]}}}),
         ("pfsa", "{not json"),
         ("scripted", "{not json"),
-    ], ids=["pfsa-without-initial-state", "pfsa-not-json", "scripted-not-json"])
+        ("pfsa", {"initial_state": "s0", "end_tokens": [1], "states": {"s0": {"emissions": 5}}}),
+        ("scripted", [{"default": [0, 0, 0]}, {"suffix": 1, "logits": [0, 0, 0]}]),
+        ("pfsa", {"initial_state": "s0", "end_tokens": [1], "vocab": "ab",
+                  "states": {"s0": {"emissions": [0.5, 0.5], "transitions": {"0": "s0"}}}}),
+    ], ids=["pfsa-without-initial-state", "pfsa-not-json", "scripted-not-json",
+            "pfsa-emissions-not-a-list", "scripted-suffix-not-a-list", "pfsa-vocab-a-string"])
     def test_malformed_model_file_names_the_file(self, capsys, tmp_path, provider, content):
         path = tmp_path / "model.json"
         path.write_text(content if isinstance(content, str) else json.dumps(content))

@@ -190,13 +190,3 @@ def test_distribution_rejects_entries_above_one():
         TokenDistribution(np.array([1.0 + 1e-7, 0.0]))
 
 
-def test_branch_state_rejects_positive_logprob():
-    with pytest.raises(InvalidInputError):
-        BranchState((1,), 0.5, False, 0)
-
-
-def test_trace_token_count_matches_branched_flag():
-    with pytest.raises(InvalidInputError):
-        StepTrace(0, 0, 1.0, True, (4,))
-    with pytest.raises(InvalidInputError):
-        StepTrace(0, 0, 1.0, False, (4, 5))

@@ -49,13 +49,12 @@ def config(**overrides):
 
 
 def sampled(token, logprob=-0.1):
-    return BranchDecision(entropy=0.1, branched=False, tokens=(token,), logprobs=(logprob,))
+    return BranchDecision(entropy=0.1, tokens=(token,), logprobs=(logprob,))
 
 
 def forked(*tokens, entropy=1.5):
     return BranchDecision(
         entropy=entropy,
-        branched=True,
         tokens=tuple(tokens),
         logprobs=tuple(-0.5 for _ in tokens),
     )
@@ -90,7 +89,7 @@ class TestExpandFrontier:
         assert [b.fork_step for b in out] == [None, 0, 1, 1, 1]
 
     def test_logprobs_accumulate(self):
-        decision = BranchDecision(entropy=1.0, branched=True, tokens=(2, 9), logprobs=(-0.5, -1.5))
+        decision = BranchDecision(entropy=1.0, tokens=(2, 9), logprobs=(-0.5, -1.5))
         out = expand_frontier([BranchState((8,), -0.25, False, 0)], [decision], 1, END)
         assert out[0].cumulative_logprob == pytest.approx(-0.75)
         assert out[1].cumulative_logprob == pytest.approx(-1.75)
@@ -153,9 +152,7 @@ class TestApplyBudget:
         assert not out[0].branched and out[1].branched
 
     def test_demotion_keeps_highest_probability_token(self):
-        decision = BranchDecision(
-            entropy=2.0, branched=True, tokens=(7, 1, 4), logprobs=(-0.1, -0.9, -2.0)
-        )
+        decision = BranchDecision(entropy=2.0, tokens=(7, 1, 4), logprobs=(-0.1, -0.9, -2.0))
         out = apply_budget(frontier(0.0), [decision], 1)
         assert out[0].tokens == (7,) and out[0].logprobs == (-0.1,)
         assert out[0].entropy == 2.0

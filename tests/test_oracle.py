@@ -70,6 +70,13 @@ class TestEnumerateTree:
             assert tight <= loose
             loose = tight
 
+    def test_long_path_probability_underflows_to_zero(self):
+        # 0.01 ** 199 is below the smallest positive float
+        paths = enumerate_tree(geometric_pfsa(p_end=0.99), [], max_len=200)
+        assert len(paths) == 200
+        assert all(p.probability >= 0.0 for p in paths)
+        assert any(p.probability == 0.0 for p in paths)
+
     def test_work_limit_enforced(self):
         with pytest.raises(ResourceLimitError, match="3"):
             enumerate_tree(geometric_pfsa(), [], max_len=10, work_limit=3)

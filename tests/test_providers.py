@@ -220,7 +220,7 @@ class TestOneConstructor:
         assert model.end_tokens == frozenset({2})
         assert all(type(t) is int for t in model.end_tokens)
 
-    @pytest.mark.parametrize("vocab", [["a", "b"], ["a", "b", 3]], ids=["wrong-length", "non-string"])
+    @pytest.mark.parametrize("vocab", [["a", "b"], ["a", "b", 3], "abc"], ids=["wrong-length", "non-string", "string"])
     def test_bad_vocab_rejected(self, build, vocab):
         with pytest.raises(InvalidInputError, match="vocab"):
             build([2], vocab)

@@ -257,8 +257,12 @@ class TestServerSideValidation:
             {"tokens": [True]},
             {"prompt": [3]},
             {"parent_branch_id": "x"},
+            {"branch_id": -1},
         ],
-        ids=["negative", "beyond-vocab", "float", "string", "bool", "prompt-beyond-vocab", "string-parent"],
+        ids=[
+            "negative", "beyond-vocab", "float", "string", "bool", "prompt-beyond-vocab", "string-parent",
+            "negative-branch-id",
+        ],
     )
     def test_bad_ids_rejected_with_400(self, change):
         import requests
