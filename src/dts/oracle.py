@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import BranchState, DtsConfig, InvalidInputError, JsonRecord, ResourceLimitError, TokenId, token_ids
+from .core import DtsConfig, InvalidInputError, JsonRecord, ResourceLimitError, TokenId, token_ids
 from .engine import run_dts
 
 DEFAULT_WORK_LIMIT = 10_000_000
@@ -62,8 +62,7 @@ def enumerate_tree(
             raise ResourceLimitError(
                 f"enumeration exceeded the work limit of {work_limit} provider calls"
             )
-        state = BranchState(tokens=tokens, cumulative_logprob=0.0, finished=False, branch_id=0)
-        dist = provider.next_distributions(prompt, [state])[0]
+        dist = provider.next_distributions(prompt, [tokens])[0]
         children = []
         for token in range(provider.vocab_size):
             p = float(dist.probs[token])

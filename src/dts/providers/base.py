@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..core import BranchState, InvalidInputError, TokenDistribution, TokenId, token_ids
+from ..core import InvalidInputError, TokenDistribution, TokenId, token_ids
 
 
 class DistributionProvider(abc.ABC):
@@ -29,8 +29,8 @@ class DistributionProvider(abc.ABC):
         if not self.end_tokens:
             raise InvalidInputError("provider must recommend at least one end token")
         if vocab is not None:
-            # a string would split into characters; it is rejected as an empty word list
-            vocab = () if isinstance(vocab, str) else tuple(vocab)
+            # only a list or tuple: a string or a dict would iterate as its characters or keys
+            vocab = tuple(vocab) if isinstance(vocab, (list, tuple)) else ()
             if len(vocab) != self.vocab_size or not all(isinstance(word, str) for word in vocab):
                 raise InvalidInputError(f"vocab must hold one string per token id, {self.vocab_size} in all")
         self.vocab = vocab
@@ -41,11 +41,11 @@ class DistributionProvider(abc.ABC):
         """Next-token distribution for a single sequence."""
 
     def next_distributions(
-        self, prompt: Sequence[TokenId], sequences: Sequence[BranchState]
+        self, prompt: Sequence[TokenId], sequences: Sequence[tuple[TokenId, ...]]
     ) -> list[TokenDistribution]:
-        """Batched query, one distribution per sequence, order-aligned."""
+        """Batched query: one distribution per generated-token sequence, order-aligned."""
         prompt = tuple(prompt)
-        return [self.distribution(prompt, tuple(s.tokens)) for s in sequences]
+        return [self.distribution(prompt, tuple(tokens)) for tokens in sequences]
 
     def encode(self, text: str) -> list[TokenId]:
         """Whitespace tokenization against the provider vocabulary.

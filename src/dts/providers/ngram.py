@@ -2,8 +2,8 @@
 
 P(v | ctx) = (count(ctx, v) + alpha) / (total(ctx) + alpha * V), where ctx is
 the last n-1 tokens. Unseen contexts fall back to the uniform smoothing
-floor, so every distribution has full support and the model can always
-terminate.
+floor, one row shared by all of them, so every distribution has full support
+and the model can always terminate.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ class NGramModel(DistributionProvider):
         self.alpha = float(alpha)
         self.counts = {tuple(ctx): Counter(c) for ctx, c in counts.items()}
         self.context_totals = {ctx: sum(c.values()) for ctx, c in self.counts.items()}
+        # rows of corpus contexts only; every other context gets the one smoothing-floor row
         self._cache: dict[tuple[TokenId, ...], TokenDistribution] = {}
+        self._floor = TokenDistribution(np.full(self.vocab_size, self.alpha) / (self.alpha * self.vocab_size))
 
     def _context(self, prompt, tokens) -> tuple[TokenId, ...]:
         if self.n == 1:
@@ -53,11 +55,13 @@ class NGramModel(DistributionProvider):
         cached = self._cache.get(ctx)
         if cached is not None:
             return cached
+        counts = self.counts.get(ctx)
+        if counts is None:
+            return self._floor
         row = np.full(self.vocab_size, self.alpha, dtype=np.float64)
-        total = self.context_totals.get(ctx, 0)
-        for token, count in self.counts.get(ctx, {}).items():
+        for token, count in counts.items():
             row[token] += count
-        dist = TokenDistribution(row / (total + self.alpha * self.vocab_size))
+        dist = TokenDistribution(row / (self.context_totals[ctx] + self.alpha * self.vocab_size))
         self._cache[ctx] = dist
         return dist
 

@@ -5,16 +5,14 @@ Wire protocol (JSON over HTTP):
   GET  /v1/meta          -> {"vocab_size": int, "end_tokens": [int...],
                              "kind": "logits" | "logprobs"}
   POST /v1/distribution  <- {"prompt": [int...],
-                             "sequences": [{"branch_id": int, "tokens": [...],
-                                            "parent_branch_id": int|null,
-                                            "fork_step": int|null}, ...]}
+                             "sequences": [{"branch_id": int, "tokens": [...]}, ...]}
                          -> {"distributions": [{"branch_id": int,
                                                 "values": [float; vocab_size]}, ...]}
 
-Response order must match request order. "logits" values are converted with
-a softmax; "logprobs" are exponentiated, validated to sum to 1 within 5e-3,
-and renormalized. Branch lineage fields are forwarded opaquely so servers
-can reuse caches.
+A sequence's branch_id is its position in the request; the response must
+echo them in request order. "logits" values are converted with a softmax;
+"logprobs" are exponentiated, validated to sum to 1 within 5e-3, and
+renormalized. A response of any other shape raises ProtocolError.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 import requests
 
 from ..branching import softmax
-from ..core import BranchState, InvalidInputError, ProtocolError, TokenDistribution, TokenId, TransportError
+from ..core import InvalidInputError, ProtocolError, TokenDistribution, TokenId, TransportError
 from .base import DistributionProvider
 
 # acceptance window for raw logprob payload sums; 0.999 must renormalize
@@ -94,34 +92,25 @@ class RemoteProvider(DistributionProvider):
         return TokenDistribution(probs / total)
 
     def distribution(self, prompt, tokens) -> TokenDistribution:
-        state = BranchState(tokens=tuple(tokens), cumulative_logprob=0.0, finished=False, branch_id=0)
-        return self.next_distributions(prompt, [state])[0]
+        return self.next_distributions(prompt, [tokens])[0]
 
     def next_distributions(
-        self, prompt: Sequence[TokenId], sequences: Sequence[BranchState]
+        self, prompt: Sequence[TokenId], sequences: Sequence[tuple[TokenId, ...]]
     ) -> list[TokenDistribution]:
         payload = {
             "prompt": list(prompt),
-            "sequences": [
-                {
-                    "branch_id": s.branch_id,
-                    "tokens": list(s.tokens),
-                    "parent_branch_id": s.parent_branch_id,
-                    "fork_step": s.fork_step,
-                }
-                for s in sequences
-            ],
+            "sequences": [{"branch_id": i, "tokens": list(tokens)} for i, tokens in enumerate(sequences)],
         }
         body = self._request("POST", "/v1/distribution", payload)
         try:
             rows = body["distributions"]
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"malformed step payload: {body!r}") from exc
-        if len(rows) != len(sequences):
-            raise ProtocolError(f"server sent {len(rows)} distributions for {len(sequences)} sequences")
-        out = []
-        for row, seq in zip(rows, sequences):
-            if int(row.get("branch_id", -1)) != seq.branch_id:
-                raise ProtocolError("response order does not match request order")
-            out.append(self._to_distribution(row["values"]))
+            if len(rows) != len(sequences):
+                raise ProtocolError(f"server sent {len(rows)} distributions for {len(sequences)} sequences")
+            out = []
+            for i, row in enumerate(rows):
+                if row["branch_id"] != i:
+                    raise ProtocolError("response order does not match request order")
+                out.append(self._to_distribution(row["values"]))
+        except (AttributeError, KeyError, TypeError, ValueError, InvalidInputError) as exc:
+            raise ProtocolError(f"malformed step payload ({type(exc).__name__}: {exc})") from None
         return out

@@ -13,7 +13,7 @@ import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..core import BranchState, InvalidInputError, token_ids
+from ..core import InvalidInputError, token_ids
 from .base import DistributionProvider
 
 _NEG_INF_SENTINEL = -1e9
@@ -69,21 +69,11 @@ class _Handler(BaseHTTPRequestHandler):
             request = json.loads(self.rfile.read(length))
             vocab_size = self.server.provider.vocab_size
             prompt = token_ids(request["prompt"], vocab_size)
-            # the record reader takes branch_id only as an integer and the
-            # lineage fields only as an integer or null
-            sequences = [
-                BranchState.from_json_dict(
-                    {
-                        **seq,
-                        "tokens": token_ids(seq["tokens"], vocab_size),
-                        "cumulative_logprob": 0.0,
-                        "finished": False,
-                    }
-                )
-                for seq in request["sequences"]
-            ]
-            if any(seq.branch_id < 0 for seq in sequences):
-                raise InvalidInputError("branch_id must be non-negative")
+            # other keys of a sequence, such as an older client's lineage fields, are ignored
+            sequences = [token_ids(seq["tokens"], vocab_size) for seq in request["sequences"]]
+            branch_ids = [seq["branch_id"] for seq in request["sequences"]]
+            if any(type(i) is not int or i < 0 for i in branch_ids):
+                raise InvalidInputError("branch_id must be a non-negative integer")
         except Exception as exc:
             self._send_json({"error": f"bad request: {exc}"}, status=400)
             return
@@ -95,8 +85,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(
             {
                 "distributions": [
-                    {"branch_id": seq.branch_id, "values": values}
-                    for seq, values in zip(sequences, rows)
+                    {"branch_id": i, "values": values} for i, values in zip(branch_ids, rows)
                 ]
             }
         )

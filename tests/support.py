@@ -1,10 +1,14 @@
 """Shared fixtures: deterministic random model generators, a scripted
-two-fork tree, and trace-replay tooling used to audit engine runs."""
+two-fork tree, trace-replay tooling used to audit engine runs, and a crafted
+wire-protocol server."""
 
 from __future__ import annotations
 
+import json
 import random
+import threading
 from collections import defaultdict
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from dts import DistributionProvider, NGramModel, PfsaModel, ScriptedModel, train_ngram
 from dts.oracle import enumerate_tree
@@ -144,3 +148,55 @@ def replay_steps(traces):
                 updated[next_id] = base + (token,)
                 next_id += 1
         prefixes = updated
+
+
+class CraftedHandler(BaseHTTPRequestHandler):
+    """Serves a fixed meta payload and a crafted step payload, and keeps the
+    JSON body of every step request in ``bodies``."""
+
+    meta: dict = {}
+    step: dict = {}
+    fail_first = 0
+    bodies: list = []
+    lock = threading.Lock()
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def _send(self, payload, status=200):
+        body = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        self._send(type(self).meta)
+
+    def do_POST(self):
+        cls = type(self)
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with cls.lock:
+            cls.bodies.append(body)
+            if cls.fail_first > 0:
+                cls.fail_first -= 1
+                # drop the connection to simulate a transport fault
+                self.connection.close()
+                return
+        self._send(cls.step)
+
+
+def crafted_server(meta, step, fail_first=0):
+    """A started server on 127.0.0.1 with its own ``CraftedHandler`` class,
+    and its URL; the caller shuts it down."""
+    handler = type(
+        "Handler", (CraftedHandler,),
+        {"meta": meta, "step": step, "fail_first": fail_first, "bodies": [], "lock": threading.Lock()},
+    )
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    host, port = server.server_address[:2]
+    return server, f"http://{host}:{port}"

@@ -13,7 +13,6 @@ import numpy as np
 import scipy.stats
 
 from dts import (
-    BranchState,
     DtsConfig,
     PfsaModel,
     ProviderServer,
@@ -294,9 +293,8 @@ def test_criterion_09_wire_protocol_conformance():
         mismatches = 0
         for i in range(1000):
             prefix = prefixes[i % len(prefixes)]
-            state = BranchState(tokens=prefix, cumulative_logprob=0.0, finished=False, branch_id=0)
             try:
-                over_wire = remote.next_distributions((), [state])[0]
+                over_wire = remote.next_distributions((), [prefix])[0]
             except Exception:
                 protocol_errors += 1
                 continue

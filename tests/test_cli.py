@@ -4,7 +4,7 @@ import pytest
 
 from dts.cli import main
 
-from support import one_hot_logits
+from support import crafted_server, one_hot_logits
 
 
 @pytest.fixture()
@@ -143,8 +143,11 @@ class TestFilesFailCleanly:
         ("scripted", [{"default": [0, 0, 0]}, {"suffix": 1, "logits": [0, 0, 0]}]),
         ("pfsa", {"initial_state": "s0", "end_tokens": [1], "vocab": "ab",
                   "states": {"s0": {"emissions": [0.5, 0.5], "transitions": {"0": "s0"}}}}),
+        ("pfsa", {"initial_state": "s0", "end_tokens": [1], "vocab": {"a": 0, "b": 1},
+                  "states": {"s0": {"emissions": [0.5, 0.5], "transitions": {"0": "s0"}}}}),
     ], ids=["pfsa-without-initial-state", "pfsa-not-json", "scripted-not-json",
-            "pfsa-emissions-not-a-list", "scripted-suffix-not-a-list", "pfsa-vocab-a-string"])
+            "pfsa-emissions-not-a-list", "scripted-suffix-not-a-list", "pfsa-vocab-a-string",
+            "pfsa-vocab-an-object"])
     def test_malformed_model_file_names_the_file(self, capsys, tmp_path, provider, content):
         path = tmp_path / "model.json"
         path.write_text(content if isinstance(content, str) else json.dumps(content))
@@ -266,3 +269,17 @@ class TestOracle:
         assert code == 0
         rows = [json.loads(l) for l in out_path.read_text().strip().splitlines()]
         assert all(row["probability"] >= 0.5 for row in rows)
+
+    def test_malformed_remote_step_response_is_clean_error(self, capsys, tmp_path):
+        meta = {"vocab_size": 2, "end_tokens": [1], "kind": "logprobs"}
+        server, url = crafted_server(meta, {"distributions": [{"branch_id": 0}]})
+        try:
+            code, out, err = run_cli(capsys, [
+                "oracle", "--provider", "remote", "--endpoint", url,
+                "--max-len", "3", "--out", str(tmp_path / "paths.jsonl"),
+            ])
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "malformed step payload" in err

@@ -109,7 +109,7 @@ class TestExpandFrontier:
         from dts.branching import branch_function
 
         for step in range(cfg.max_tokens):
-            dists = provider.next_distributions((), branches)
+            dists = provider.next_distributions((), [b.tokens for b in branches])
             decisions = [branch_function(d, cfg, rng) for d in dists]
             branches = expand_frontier(branches, decisions, step, cfg.end_tokens)
             sizes.append(len(branches))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dts import (
-    BranchState,
     InvalidInputError,
     NGramModel,
     PfsaModel,
@@ -16,15 +15,11 @@ from dts import (
 from support import one_hot_logits, random_ngram, random_pfsa
 
 
-def seq(*tokens):
-    return BranchState(tokens=tuple(tokens), cumulative_logprob=0.0, finished=False, branch_id=0)
-
-
 class TestScripted:
     def test_default_uniform(self):
         model = ScriptedModel([], [0.0, 0.0, 0.0, 0.0], end_tokens=[3])
         for tokens in [(), (1,), (2, 2, 0)]:
-            dist = model.next_distributions((), [seq(*tokens)])[0]
+            dist = model.next_distributions((), [tokens])[0]
             assert np.allclose(dist.probs, 0.25)
 
     def test_first_matching_rule_wins(self):
@@ -96,6 +91,17 @@ class TestNGram:
         dist = model.distribution((), (1, 0))
         assert np.allclose(dist.probs, 1.0 / model.vocab_size, atol=1e-12)
 
+    def test_unseen_contexts_share_one_floor_row(self):
+        model = train_ngram([[0, 1, 2, 0]], n=3, alpha=0.7, vocab_size=50)
+        floor = model.distribution((), (1, 0))
+        assert model.distribution((), (7, 9)) is floor
+        # the smoothing arithmetic of an unseen context, bit for bit
+        assert np.array_equal(floor.probs, np.full(50, 0.7) / (0 + 0.7 * 50))
+        for a in range(50):
+            for b in range(50):
+                model.distribution((a,), (b,))
+        assert set(model._cache) == {(0, 1), (1, 2)}
+
     @pytest.mark.parametrize("corpus,vocab_size,message", [
         ([[0, -1, 1]], None, "negative"),
         ([[0, 1.7, 1]], None, "not an integer"),
@@ -144,7 +150,7 @@ class TestPfsa:
 
     def test_emission_read_back(self):
         model = self.two_state()
-        dist = model.next_distributions((), [seq(0)])[0]
+        dist = model.next_distributions((), [(0,)])[0]
         assert dist.probs[2] == pytest.approx(0.1)
 
     def test_prompt_is_ignored(self):
@@ -220,7 +226,8 @@ class TestOneConstructor:
         assert model.end_tokens == frozenset({2})
         assert all(type(t) is int for t in model.end_tokens)
 
-    @pytest.mark.parametrize("vocab", [["a", "b"], ["a", "b", 3], "abc"], ids=["wrong-length", "non-string", "string"])
+    @pytest.mark.parametrize("vocab", [["a", "b"], ["a", "b", 3], "abc", {"a": 0, "b": 1, "c": 2}],
+                             ids=["wrong-length", "non-string", "string", "dict"])
     def test_bad_vocab_rejected(self, build, vocab):
         with pytest.raises(InvalidInputError, match="vocab"):
             build([2], vocab)
@@ -258,7 +265,7 @@ class TestProviderContract:
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_batched_equals_singletons(self, seed):
         for model in (random_ngram(seed), random_pfsa(seed)):
-            sequences = [seq(*prefix) for prefix in self._valid_prefixes(model)]
+            sequences = self._valid_prefixes(model)
             batched = model.next_distributions((), sequences)
             singles = [model.next_distributions((), [s])[0] for s in sequences]
             for a, b in zip(batched, singles):

@@ -1,14 +1,12 @@
-import json
 import math
 import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
 from dts import (
-    BranchState,
     DtsConfig,
     InvalidInputError,
     PfsaModel,
@@ -20,11 +18,7 @@ from dts import (
     run_dts,
 )
 
-from support import random_pfsa
-
-
-def seq(*tokens, branch_id=0):
-    return BranchState(tokens=tuple(tokens), cumulative_logprob=0.0, finished=False, branch_id=branch_id)
+from support import CraftedHandler, crafted_server, random_pfsa
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +42,7 @@ class TestStubServerRoundTrip:
     def test_batch_order_and_values(self, pfsa):
         with ProviderServer(pfsa, kind="logprobs") as server:
             remote = RemoteProvider(server.url)
-            sequences = [seq(branch_id=0), seq(0, branch_id=1), seq(1, branch_id=2)]
+            sequences = [(), (0,), (1,)]
             local = pfsa.next_distributions((), sequences)
             over_wire = remote.next_distributions((), sequences)
             for a, b in zip(local, over_wire):
@@ -57,7 +51,7 @@ class TestStubServerRoundTrip:
     def test_zero_probabilities_survive_the_wire(self, pfsa):
         with ProviderServer(pfsa, kind="logprobs") as server:
             remote = RemoteProvider(server.url)
-            dist = remote.next_distributions((), [seq()])[0]
+            dist = remote.next_distributions((), [()])[0]
             assert dist.probs[3] == 0.0
 
     def test_logits_kind_matches_local_distribution(self, pfsa):
@@ -74,7 +68,7 @@ class TestStubServerRoundTrip:
                 assert remote.kind == "logits"
                 for tokens in [(), (1,), (0, 1)]:
                     a = model.distribution((), tokens)
-                    b = remote.next_distributions((), [seq(*tokens)])[0]
+                    b = remote.next_distributions((), [tokens])[0]
                     assert np.allclose(a.probs, b.probs, rtol=0.0, atol=1e-12)
                     assert np.array_equal(a.probs == 0.0, b.probs == 0.0)
 
@@ -101,53 +95,8 @@ class TestStubServerRoundTrip:
                 remote._request("GET", "/v1/nonsense")
 
 
-class _CraftedHandler(BaseHTTPRequestHandler):
-    """Serves a fixed meta payload and a crafted step payload."""
-
-    meta: dict = {}
-    step: dict = {}
-    fail_first = 0
-    lock = threading.Lock()
-
-    def log_message(self, fmt, *args):
-        pass
-
-    def _send(self, payload, status=200):
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self):
-        self._send(type(self).meta)
-
-    def do_POST(self):
-        cls = type(self)
-        with cls.lock:
-            if cls.fail_first > 0:
-                cls.fail_first -= 1
-                # drop the connection to simulate a transport fault
-                self.connection.close()
-                return
-        self._send(cls.step)
-
-
-def crafted_server(meta, step, fail_first=0):
-    handler = type(
-        "Handler", (_CraftedHandler,),
-        {"meta": meta, "step": step, "fail_first": fail_first, "lock": threading.Lock()},
-    )
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    host, port = server.server_address[:2]
-    return server, f"http://{host}:{port}"
-
-
 META = {"vocab_size": 2, "end_tokens": [1], "kind": "logprobs"}
+HALF = [math.log(0.5), math.log(0.5)]
 
 
 class TestProtocolValidation:
@@ -155,13 +104,13 @@ class TestProtocolValidation:
         server, url = crafted_server(meta, step, fail_first)
         try:
             remote = RemoteProvider(url, **kwargs)
-            return remote.next_distributions((), [seq()])
+            return remote.next_distributions((), [()])
         finally:
             server.shutdown()
             server.server_close()
 
     def test_logprobs_converted(self):
-        step = {"distributions": [{"branch_id": 0, "values": [math.log(0.5), math.log(0.5)]}]}
+        step = {"distributions": [{"branch_id": 0, "values": HALF}]}
         dist = self.run_step(META, step)[0]
         assert np.allclose(dist.probs, [0.5, 0.5], atol=1e-12)
 
@@ -181,9 +130,39 @@ class TestProtocolValidation:
             self.run_step(META, step)
 
     def test_order_mismatch_rejected(self):
-        step = {"distributions": [{"branch_id": 9, "values": [math.log(0.5), math.log(0.5)]}]}
+        step = {"distributions": [{"branch_id": 9, "values": HALF}]}
         with pytest.raises(ProtocolError, match="order"):
             self.run_step(META, step)
+
+    @pytest.mark.parametrize("step", [
+        {"distributions": 5},
+        {"distributions": [5]},
+        {"distributions": [{"branch_id": 0}]},
+        {"distributions": [{"branch_id": "x", "values": HALF}]},
+        {"distributions": [{"branch_id": 0, "values": 5}]},
+        {"distributions": [{"branch_id": 0, "values": ["a", "b"]}]},
+        {"distributions": [{"branch_id": "0", "values": HALF}]},
+        {"distributions": [{"branch_id": 0, "values": [math.nan, 0.0]}]},
+    ], ids=["distributions-a-number", "row-a-number", "row-without-values", "branch-id-not-a-number",
+            "values-a-number", "values-not-numbers", "branch-id-a-numeric-string", "values-nan"])
+    def test_malformed_step_payload_is_protocol_error(self, step):
+        with pytest.raises(ProtocolError):
+            self.run_step(META, step)
+
+    def test_request_holds_positions_and_tokens_only(self):
+        sequences = [(), (0,), (1, 0)]
+        step = {"distributions": [{"branch_id": i, "values": HALF} for i in range(3)]}
+        server, url = crafted_server(META, step)
+        try:
+            RemoteProvider(url).next_distributions((1,), sequences)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert server.RequestHandlerClass.bodies == [{
+            "prompt": [1],
+            "sequences": [{"branch_id": 0, "tokens": []}, {"branch_id": 1, "tokens": [0]},
+                          {"branch_id": 2, "tokens": [1, 0]}],
+        }]
 
     def test_wrong_count_rejected(self):
         step = {"distributions": []}
@@ -209,18 +188,18 @@ class TestProtocolValidation:
             self.run_step({**META, **change}, {})
 
     def test_transient_drops_retried_with_attempt_count(self):
-        step = {"distributions": [{"branch_id": 0, "values": [math.log(0.5), math.log(0.5)]}]}
+        step = {"distributions": [{"branch_id": 0, "values": HALF}]}
         dist = self.run_step(META, step, fail_first=2, timeout=2.0)[0]
         assert np.allclose(dist.probs, [0.5, 0.5], atol=1e-12)
 
     def test_exhausted_retries_report_attempts(self):
-        step = {"distributions": [{"branch_id": 0, "values": [math.log(0.5), math.log(0.5)]}]}
+        step = {"distributions": [{"branch_id": 0, "values": HALF}]}
         with pytest.raises(TransportError) as excinfo:
             self.run_step(META, step, fail_first=50, timeout=0.5, max_attempts=3)
         assert excinfo.value.attempts == 3
 
     def test_http_error_is_transport_error(self, pfsa):
-        class ErrorHandler(_CraftedHandler):
+        class ErrorHandler(CraftedHandler):
             def do_POST(self):
                 self._send({"error": "teapot"}, status=500)
 
@@ -231,7 +210,7 @@ class TestProtocolValidation:
         try:
             remote = RemoteProvider(f"http://{host}:{port}")
             with pytest.raises(TransportError, match="500"):
-                remote.next_distributions((), [seq()])
+                remote.next_distributions((), [()])
         finally:
             server.shutdown()
             server.server_close()
@@ -256,12 +235,13 @@ class TestServerSideValidation:
             {"tokens": ["1"]},
             {"tokens": [True]},
             {"prompt": [3]},
-            {"parent_branch_id": "x"},
             {"branch_id": -1},
+            {"branch_id": "0"},
+            {"branch_id": True},
         ],
         ids=[
-            "negative", "beyond-vocab", "float", "string", "bool", "prompt-beyond-vocab", "string-parent",
-            "negative-branch-id",
+            "negative", "beyond-vocab", "float", "string", "bool", "prompt-beyond-vocab",
+            "negative-branch-id", "string-branch-id", "bool-branch-id",
         ],
     )
     def test_bad_ids_rejected_with_400(self, change):
@@ -297,5 +277,5 @@ class TestServerSideValidation:
         with ProviderServer(model, kind="logprobs") as server:
             remote = RemoteProvider(server.url)
             for i in range(50):
-                dist = remote.next_distributions((), [seq()])[0]
+                dist = remote.next_distributions((), [()])[0]
                 assert abs(float(dist.probs.sum()) - 1.0) < 1e-9
