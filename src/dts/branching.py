@@ -1,4 +1,4 @@
-"""Per-position decoding math: temperature scaling, entropy, top-K, sampling,
+"""Per-position decoding math: softmax, entropy, top-K, sampling,
 and the entropy-gated branch decision.
 
 All logarithms are natural. The branch decision is the adaptive rule at the
@@ -46,13 +46,6 @@ def softmax(logits) -> TokenDistribution:
         raise InvalidInputError("logits must be finite or -inf, and not all -inf")
     weights = np.exp(arr - arr.max())
     return TokenDistribution(weights / weights.sum())
-
-
-def softmax_with_temperature(logits, temperature: float) -> TokenDistribution:
-    """Softmax of ``logits / temperature``: the only division by a temperature."""
-    if math.isnan(temperature) or not temperature > 0.0:
-        raise InvalidInputError("temperature must be > 0")
-    return softmax(np.asarray(logits, dtype=np.float64) / temperature)
 
 
 def entropy(dist: TokenDistribution) -> float:

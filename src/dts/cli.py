@@ -138,6 +138,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    if not 0 <= args.port <= 65535:
+        raise DtsError(f"--port {args.port} is outside 0..65535")
     provider = _build_provider(args)
     server = ProviderServer(provider, host=args.host, port=args.port)
     print(f"serving {args.provider} provider on {server.url}", file=sys.stderr)

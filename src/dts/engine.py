@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .branching import BranchDecision, branch_function, entropy, sample_token, softmax_with_temperature
+from .branching import BranchDecision, branch_function, entropy, sample_token, softmax
 from .core import (
     BranchState,
     DtsConfig,
@@ -128,7 +128,7 @@ def _distributions_at(provider, prompt, sequences, step, temperature):
     if temperature == 1.0:
         return dists
     with np.errstate(divide="ignore"):
-        return [softmax_with_temperature(np.log(d.probs), temperature) for d in dists]
+        return [softmax(np.log(d.probs) / temperature) for d in dists]
 
 
 def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) -> RunResult:

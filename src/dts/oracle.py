@@ -42,7 +42,7 @@ def enumerate_tree(
     """
     if max_len < 1:
         raise InvalidInputError("max_len must be >= 1")
-    if prob_floor < 0.0:
+    if not prob_floor >= 0.0:
         raise InvalidInputError("prob_floor must be >= 0")
     prompt = token_ids(prompt, provider.vocab_size)
     end_tokens = provider.end_tokens

@@ -2,9 +2,10 @@
 
 A provider behaves like a frozen language model: given the prompt and the
 tokens generated so far, it returns a probability vector over its
-vocabulary. Implementations must be pure, so identical inputs always yield
-identical outputs, and immutable after construction so they are safe for
-concurrent batched queries.
+vocabulary. Implementations must be pure: outputs depend only on the
+inputs, so identical inputs always yield identical outputs. A provider may
+keep per-thread memory of its last query, and stays safe for concurrent
+batched queries.
 """
 
 from __future__ import annotations

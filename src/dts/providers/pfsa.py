@@ -7,11 +7,13 @@ product of its per-step emissions, which makes PFSA instances exactly
 analyzable and the natural fixture for oracle comparisons.
 
 The prompt is accepted and ignored: the state is driven by the generated
-tokens alone.
+tokens alone. Each thread keeps the states of its last query only: a sequence
+one token past one of them takes one transition; any other is walked afresh.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Hashable, Optional, Sequence
 
 from ..core import InvalidInputError, TokenDistribution, TokenId
@@ -57,28 +59,26 @@ class PfsaModel(DistributionProvider):
                         raise InvalidInputError(
                             f"transition from {state!r} on {token} leads to unknown state {target!r}"
                         )
-        # prefix -> state cache; amortizes sequence walks to O(1) per new prefix
-        self._state_cache: dict[tuple[TokenId, ...], State] = {(): initial_state}
+        self._last_query = threading.local()
 
-    def state_for(self, tokens: tuple[TokenId, ...]) -> State:
-        cache = self._state_cache
-        known = len(tokens)
-        state = cache.get(tokens, _UNSEEN)
-        while state is _UNSEEN:
-            known -= 1
-            state = cache.get(tokens[:known], _UNSEEN)
-        for i in range(known, len(tokens)):
-            try:
-                state = self.transitions[state][tokens[i]]
-            except KeyError:
-                raise InvalidInputError(
-                    f"no transition from state {state!r} on token {tokens[i]}"
-                ) from None
-            cache[tokens[: i + 1]] = state
-        return state
+    def next_distributions(self, prompt, sequences) -> list[TokenDistribution]:
+        last = getattr(self._last_query, "states", {})
+        states = self._last_query.states = {}
+        dists = []
+        for tokens in map(tuple, sequences):
+            state = last.get(tokens[:-1], _UNSEEN)
+            state, walk = (self.initial_state, tokens) if state is _UNSEEN else (state, tokens[-1:])
+            for token in walk:
+                try:
+                    state = self.transitions[state][token]
+                except KeyError:
+                    raise InvalidInputError(f"no transition from state {state!r} on token {token}") from None
+            states[tokens] = state
+            dists.append(self.emissions[state])
+        return dists
 
     def distribution(self, prompt, tokens) -> TokenDistribution:
-        return self.emissions[self.state_for(tuple(tokens))]
+        return self.next_distributions(prompt, [tokens])[0]
 
     def sequence_probability(self, tokens: Sequence[TokenId]) -> float:
         """Product of per-step emission probabilities along the sequence."""

@@ -29,6 +29,7 @@ from .base import DistributionProvider
 # acceptance window for raw logprob payload sums; 0.999 must renormalize
 # cleanly while grossly unnormalized payloads still fail the contract
 _SUM_TOL = 5e-3
+_MAX_ATTEMPTS = 3
 
 
 class RemoteProvider(DistributionProvider):
@@ -37,14 +38,12 @@ class RemoteProvider(DistributionProvider):
         endpoint: str,
         temperature: float = 1.0,
         timeout: float = 120.0,
-        max_attempts: int = 3,
         session: requests.Session | None = None,
     ):
         if temperature != 1.0:
             raise InvalidInputError(f"temperature {temperature}: set DtsConfig.temperature instead")
         self.endpoint = endpoint.rstrip("/")
         self.timeout = float(timeout)
-        self.max_attempts = int(max_attempts)
         self.session = session or requests.Session()
 
         meta = self._request("GET", "/v1/meta")
@@ -59,7 +58,7 @@ class RemoteProvider(DistributionProvider):
     def _request(self, method: str, path: str, payload=None):
         url = self.endpoint + path
         last_exc: Exception | None = None
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, _MAX_ATTEMPTS + 1):
             try:
                 response = self.session.request(method, url, json=payload, timeout=self.timeout)
             except (requests.Timeout, requests.ConnectionError) as exc:
@@ -74,8 +73,8 @@ class RemoteProvider(DistributionProvider):
             except ValueError as exc:
                 raise ProtocolError(f"{method} {url} returned non-JSON body") from exc
         raise TransportError(
-            f"{method} {url} failed after {self.max_attempts} attempts: {last_exc}",
-            attempts=self.max_attempts,
+            f"{method} {url} failed after {_MAX_ATTEMPTS} attempts: {last_exc}",
+            attempts=_MAX_ATTEMPTS,
         )
 
     def _to_distribution(self, values) -> TokenDistribution:

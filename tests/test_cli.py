@@ -283,3 +283,11 @@ class TestOracle:
             server.server_close()
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "malformed step payload" in err
+
+
+class TestServe:
+    @pytest.mark.parametrize("port", ["99999", "-5"])
+    def test_port_out_of_range_is_clean_error(self, capsys, pfsa_file, port):
+        code, _, err = run_cli(capsys, ["serve", "--provider", "pfsa", "--model-file", pfsa_file, "--port", port])
+        assert code == 1
+        assert err.startswith(f"error: --port {port} ")

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,12 +278,27 @@ class TestRunEval:
             run_eval(self.items(1), provider, eval_config(provider.end_tokens), [0], {"beam"})
 
     def test_jobs_parallel_matches_serial_order(self):
-        provider = always_answer_provider()
-        cfg = eval_config(provider.end_tokens)
-        serial = run_eval(self.items(3), provider, cfg, [0, 1], {"dts", "standard"})
-        parallel = run_eval(self.items(3), provider, cfg, [0, 1], {"dts", "standard"}, jobs=4)
-        strip = lambda rs: [(r.item_id, r.seed, r.method, r.correct, r.length) for r in rs]
-        assert strip(serial) == strip(parallel)
+        # the automaton's runs fork and take many steps, so concurrent runs on one
+        # provider each extend their own last query
+        many_steps = PfsaModel(
+            initial_state=0,
+            emissions={0: [0.05, 0.5, 0.43, 0.02], 1: [0.3, 0.3, 0.38, 0.02]},
+            transitions={0: {0: 1, 1: 1, 2: 0}, 1: {0: 0, 1: 1, 2: 0}},
+            end_tokens=[3],
+            vocab=["\\boxed{42}", "x", "y", "<e>"],
+        )
+        strip = lambda rs: [(r.item_id, r.seed, r.method, r.correct, r.length, r.terminated) for r in rs]
+        for provider, tau in ((always_answer_provider(), 2.5), (many_steps, 0.9)):
+            cfg = eval_config(provider.end_tokens, tau=tau)
+            serial = run_eval(self.items(3), provider, cfg, [0, 1], {"dts", "standard"})
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                parallel = run_eval(self.items(3), provider, cfg, [0, 1], {"dts", "standard"}, jobs=4)
+            finally:
+                sys.setswitchinterval(interval)
+            assert strip(serial) == strip(parallel)
+        assert max(r.length for r in serial) > 10
 
     def test_method_seeds_are_decoupled(self):
         assert hash64(0, "q1", "dts") != hash64(0, "q1", "standard")

@@ -62,6 +62,11 @@ class TestEnumerateTree:
         paths = enumerate_tree(geometric_pfsa(), [], max_len=6, prob_floor=0.3)
         assert [(p.tokens, p.probability) for p in paths] == [((1,), 0.5)]
 
+    @pytest.mark.parametrize("floor", [-0.1, math.nan], ids=["negative", "nan"])
+    def test_bad_prob_floor_rejected(self, floor):
+        with pytest.raises(InvalidInputError, match="prob_floor"):
+            enumerate_tree(geometric_pfsa(), [], max_len=6, prob_floor=floor)
+
     def test_floor_monotonicity(self):
         model = random_pfsa(4, require_path_within=6)
         loose = {p.tokens for p in enumerate_tree(model, [], max_len=6, prob_floor=0.0)}

@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,7 +184,34 @@ class TestPfsa:
 
     def test_cold_long_prefix_is_walked_without_recursion(self):
         model = PfsaModel(0, {0: [0.5, 0.5]}, {0: {0: 0}}, end_tokens=[1])
-        assert model.distribution((), (0,) * 5000) == model.emissions[0]
+        tokens = (0,) * 5000
+        tracemalloc.start()
+        try:
+            assert model.distribution((), tokens) == model.emissions[0]
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a cache of every prefix would hold 5000 tuples, about 100 MB
+        assert retained < 2**20
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_any_query_order_reads_the_walked_state(self, seed):
+        # lockstep extensions, repeats, jumps back and unrelated sequences all
+        # read the emissions of the state that a walk from the start reaches
+        model = random_pfsa(seed, max_states=5)
+        rnd = random.Random(seed)
+        walked = [((), model.initial_state)]
+        for _ in range(8):
+            tokens, state = (), model.initial_state
+            for _ in range(12):
+                token = rnd.choice(sorted(model.transitions[state]))
+                tokens, state = tokens + (token,), model.transitions[state][token]
+                walked.append((tokens, state))
+        batches = [[pair] for pair in walked]
+        batches += [rnd.sample(walked, rnd.randint(1, 6)) for _ in range(40)]
+        for batch in batches:
+            got = model.next_distributions((), [tokens for tokens, _ in batch])
+            assert got == [model.emissions[state] for _, state in batch]
 
     def test_file_roundtrip(self, tmp_path):
         payload = {

@@ -1,6 +1,9 @@
 import math
+import random
 import socket
 import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from http.server import ThreadingHTTPServer
 
 import numpy as np
@@ -87,6 +90,27 @@ class TestStubServerRoundTrip:
             remote_result = run_dts(RemoteProvider(server.url), [], cfg)
         assert remote_result.output.tokens == local.output.tokens
         assert remote_result.terminated == local.terminated
+
+    def test_concurrent_clients_match_serial_runs(self):
+        # each client holds its own connection, so its own server thread
+        model = PfsaModel(
+            initial_state=0,
+            emissions={0: [0.45, 0.35, 0.18, 0.02], 1: [0.3, 0.3, 0.38, 0.02], 2: [0.5, 0.2, 0.28, 0.02]},
+            transitions={0: {0: 1, 1: 2, 2: 0}, 1: {0: 0, 1: 1, 2: 2}, 2: {0: 2, 1: 0, 2: 1}},
+            end_tokens=[3],
+        )
+        configs = [
+            DtsConfig(tau=0.9, k=2, temperature=1.0, max_tokens=16, end_tokens=frozenset({3}),
+                      max_branches=8, seed=seed)
+            for seed in range(4)
+        ]
+        summary = lambda r: (r.output.tokens, r.terminated, r.steps_executed, r.peak_frontier_size)
+        serial = [summary(run_dts(model, [], cfg)) for cfg in configs]
+        with ProviderServer(model) as server, ThreadPoolExecutor(max_workers=4) as pool:
+            clients = [RemoteProvider(server.url) for _ in configs]
+            concurrent = list(pool.map(lambda c, cfg: summary(run_dts(c, [], cfg)), clients, configs, timeout=60))
+        assert concurrent == serial
+        assert all(peak > 1 for _, _, _, peak in serial)
 
     def test_unknown_path_is_transport_error(self, pfsa):
         with ProviderServer(pfsa) as server:
@@ -195,7 +219,7 @@ class TestProtocolValidation:
     def test_exhausted_retries_report_attempts(self):
         step = {"distributions": [{"branch_id": 0, "values": HALF}]}
         with pytest.raises(TransportError) as excinfo:
-            self.run_step(META, step, fail_first=50, timeout=0.5, max_attempts=3)
+            self.run_step(META, step, fail_first=50, timeout=0.5)
         assert excinfo.value.attempts == 3
 
     def test_http_error_is_transport_error(self, pfsa):
@@ -271,6 +295,23 @@ class TestServerSideValidation:
                 sock.sendall(f"POST /v1/distribution HTTP/1.1\r\nHost: {host}\r\n{header}\r\n".encode())
                 status_line = sock.makefile("rb").readline()
         assert status_line.split()[1] == str(status).encode()
+
+    def test_long_walks_leave_little_memory(self):
+        model = PfsaModel(0, {0: [0.4, 0.4, 0.2]}, {0: {0: 0, 1: 0}}, end_tokens=[2])
+        rnd = random.Random(0)
+        sequences = [tuple(rnd.choice((0, 1)) for _ in range(4000)) for _ in range(8)]
+        server = ProviderServer(model)
+        try:
+            tracemalloc.start()
+            try:
+                server.values_for((), sequences)
+                retained, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            server.server_close()
+        # a cache of every prefix would hold 32000 tuples, about 500 MB
+        assert retained < 5 * 2**20
 
     def test_many_sequential_calls(self):
         model = random_pfsa(3, require_path_within=6)
