@@ -9,6 +9,7 @@ which exponentiates back to exactly 0.0, keeping payloads valid strict JSON.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -19,13 +20,21 @@ from .base import DistributionProvider
 _NEG_INF_SENTINEL = -1e9
 # a step request at B=32, L=4096 with five-digit ids is about 1 MB; larger bodies are refused unread
 _MAX_BODY_BYTES = 64 * 2**20
+# B=32 at a ~152k vocabulary is 4.9M values; a step that asks for more is refused before the provider runs
+_MAX_VALUES = 2**23
+
+_log = logging.getLogger(__name__)
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # headers and body are two writes; with Nagle's algorithm the body waits for
+    # the client's delayed ACK of the headers, about 40 ms per response. The writer
+    # stays unbuffered: a buffered one would hold an interim "100 Continue" back
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):
-        pass
+        _log.debug("%s:%d " + fmt, *self.client_address[:2], *args)
 
     def _send_json(self, payload, status=200):
         body = json.dumps(payload).encode("utf-8")
@@ -76,6 +85,9 @@ class _Handler(BaseHTTPRequestHandler):
                 raise InvalidInputError("branch_id must be a non-negative integer")
         except Exception as exc:
             self._send_json({"error": f"bad request: {exc}"}, status=400)
+            return
+        if len(sequences) * vocab_size > _MAX_VALUES:
+            self._send_json({"error": f"request asks for over {_MAX_VALUES} values"}, status=413)
             return
         try:
             rows = self.server.values_for(prompt, sequences)

@@ -159,6 +159,8 @@ class CraftedHandler(BaseHTTPRequestHandler):
     fail_first = 0
     bodies: list = []
     lock = threading.Lock()
+    # the body would otherwise wait for the client's delayed ACK of the headers
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):
         pass

@@ -1,10 +1,15 @@
+import http.client
+import json
+import logging
 import math
 import random
 import socket
+import statistics
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from http.server import ThreadingHTTPServer
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from dts import (
     TransportError,
     run_dts,
 )
+from dts.providers import server as server_module
 
 from support import CraftedHandler, crafted_server, random_pfsa
 
@@ -102,15 +108,52 @@ class TestStubServerRoundTrip:
         configs = [
             DtsConfig(tau=0.9, k=2, temperature=1.0, max_tokens=16, end_tokens=frozenset({3}),
                       max_branches=8, seed=seed)
-            for seed in range(4)
+            for seed in range(16)
         ]
         summary = lambda r: (r.output.tokens, r.terminated, r.steps_executed, r.peak_frontier_size)
         serial = [summary(run_dts(model, [], cfg)) for cfg in configs]
-        with ProviderServer(model) as server, ThreadPoolExecutor(max_workers=4) as pool:
+        with ProviderServer(model) as server, ThreadPoolExecutor(max_workers=16) as pool:
             clients = [RemoteProvider(server.url) for _ in configs]
             concurrent = list(pool.map(lambda c, cfg: summary(run_dts(c, [], cfg)), clients, configs, timeout=60))
         assert concurrent == serial
         assert all(peak > 1 for _, _, _, peak in serial)
+
+    def test_step_round_trip_is_not_stalled(self, pfsa):
+        # a response held back by Nagle's algorithm waits out the client's delayed ACK,
+        # a kernel timer of about 40 ms that no faster host shortens
+        with ProviderServer(pfsa) as server:
+            remote = RemoteProvider(server.url)
+            times = []
+            for _ in range(30):
+                start = perf_counter()
+                remote.next_distributions((), [(0,)])
+                times.append(perf_counter() - start)
+        assert statistics.median(times) < 0.015
+
+    def test_expect_100_continue_answered_before_body(self, pfsa):
+        # a buffered response writer would hold the interim answer until the final one
+        body = json.dumps({"prompt": [], "sequences": [{"branch_id": 0, "tokens": []}]}).encode()
+        with ProviderServer(pfsa) as server:
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port), timeout=1) as sock:
+                reader = sock.makefile("rb")
+                sock.sendall(
+                    f"POST /v1/distribution HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n"
+                    f"Expect: 100-continue\r\nContent-Length: {len(body)}\r\n\r\n".encode()
+                )
+                assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+                assert reader.readline() == b"\r\n"
+                sock.sendall(body)
+                assert reader.read().split()[1] == b"200"
+
+    def test_requests_logged_at_debug(self, pfsa, caplog):
+        caplog.set_level(logging.DEBUG, logger=server_module.__name__)
+        with ProviderServer(pfsa) as server:
+            RemoteProvider(server.url)
+        assert any(
+            r.getMessage().startswith("127.0.0.1:") and '"GET /v1/meta HTTP/1.1" 200' in r.getMessage()
+            for r in caplog.records
+        )
 
     def test_unknown_path_is_transport_error(self, pfsa):
         with ProviderServer(pfsa) as server:
@@ -295,6 +338,29 @@ class TestServerSideValidation:
                 sock.sendall(f"POST /v1/distribution HTTP/1.1\r\nHost: {host}\r\n{header}\r\n".encode())
                 status_line = sock.makefile("rb").readline()
         assert status_line.split()[1] == str(status).encode()
+
+    def test_values_cap_answered_with_413(self, monkeypatch):
+        monkeypatch.setattr(server_module, "_MAX_VALUES", 8)
+        three_tokens = PfsaModel(0, {0: [0.5, 0.3, 0.2]}, {0: {0: 0, 1: 0}}, end_tokens=[2])
+
+        def post(conn, n):
+            sequences = [{"branch_id": i, "tokens": [0]} for i in range(n)]
+            conn.request("POST", "/v1/distribution", json.dumps({"prompt": [], "sequences": sequences}),
+                         {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            response.read()
+            return response.status
+
+        with ProviderServer(three_tokens) as server:
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=5)
+            try:
+                assert post(conn, 3) == 413
+                sock = conn.sock
+                assert post(conn, 2) == 200
+                # the refused body was read, so the same connection served the next request
+                assert sock is not None and conn.sock is sock
+            finally:
+                conn.close()
 
     def test_long_walks_leave_little_memory(self):
         model = PfsaModel(0, {0: [0.4, 0.4, 0.2]}, {0: {0: 0, 1: 0}}, end_tokens=[2])
