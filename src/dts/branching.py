@@ -109,7 +109,7 @@ def branch_function(dist: TokenDistribution, config: DtsConfig, rng) -> BranchDe
     """
     h = entropy(dist)
     if h >= config.tau:
-        ranked = top_k_tokens(dist, min(config.k, dist.vocab_size))
+        ranked = top_k_tokens(dist, config.k)
         selected = [(t, lp) for t, lp in ranked if lp > float("-inf")]
     else:
         selected = [sample_token(dist, rng)]

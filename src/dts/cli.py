@@ -11,6 +11,7 @@ from .core import DtsConfig, DtsError
 from .engine import run_dts, run_standard
 from .evalharness import (
     EvalRecord,
+    _describe_error,
     aggregate_metrics,
     export_scatter,
     load_dataset,
@@ -205,7 +206,9 @@ def main(argv=None) -> int:
         return args.func(args)
     # a file that is not UTF-8 raises UnicodeDecodeError, a ValueError
     except (DtsError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the cause says why, as in "provider failed at engine step 7 <- TransportError: ..."
+        cause = "" if exc.__cause__ is None else f" <- {_describe_error(exc.__cause__)}"
+        print(f"error: {exc}{cause}", file=sys.stderr)
         return 1
 
 

@@ -237,8 +237,9 @@ class DtsConfig(JsonRecord):
             raise InvalidInputError("tau must be >= 0 (math.inf disables branching)")
         if self.k < 1:
             raise InvalidInputError("k must be >= 1")
-        if not self.temperature > 0.0 or math.isnan(self.temperature):
-            raise InvalidInputError("temperature must be > 0")
+        # NaN fails both comparisons; an infinite temperature would turn every zero into a 1/V
+        if not 0.0 < self.temperature < math.inf:
+            raise InvalidInputError("temperature must be finite and > 0")
         if self.max_tokens < 1:
             raise InvalidInputError("max_tokens must be >= 1")
         if self.max_branches < 1:

@@ -115,8 +115,9 @@ def _validate_run_inputs(provider, prompt: Sequence[TokenId], config: DtsConfig)
 
 
 def _distributions_at(provider, prompt, sequences, step, temperature):
-    """The provider's rows for the token ``sequences``: as they are at temperature 1,
-    else each row becomes ``softmax(log p / temperature)``, so a zero stays zero."""
+    """The provider's rows for the token ``sequences``, one of its ``vocab_size`` per
+    sequence: as they are at temperature 1, else each row becomes
+    ``softmax(log p / temperature)``, so a zero stays zero."""
     try:
         dists = provider.next_distributions(prompt, sequences)
     except Exception as exc:
@@ -125,6 +126,12 @@ def _distributions_at(provider, prompt, sequences, step, temperature):
         raise ProviderError(
             f"provider returned {len(dists)} distributions for {len(sequences)} branches at step {step}"
         )
+    vocab_size = provider.vocab_size
+    for dist in dists:
+        if dist.vocab_size != vocab_size:
+            raise ProviderError(
+                f"provider returned a row of {dist.vocab_size} entries for vocabulary size {vocab_size} at step {step}"
+            )
     if temperature == 1.0:
         return dists
     with np.errstate(divide="ignore"):

@@ -1,11 +1,12 @@
 """Provider interface: a pluggable source of next-token distributions.
 
-A provider behaves like a frozen language model: given the prompt and the
-tokens generated so far, it returns a probability vector over its
-vocabulary. Implementations must be pure: outputs depend only on the
-inputs, so identical inputs always yield identical outputs. A provider may
-keep per-thread memory of its last query, and stays safe for concurrent
-batched queries.
+A provider behaves like a frozen language model. Its one method,
+``next_distributions``, takes the prompt and a batch of generated-token
+sequences, one per live branch, and returns one probability vector over the
+vocabulary per sequence, in the batch's order. Implementations must be
+pure: outputs depend only on the inputs, so identical inputs always yield
+identical outputs. A provider may keep per-thread memory of its last
+batch, and stays safe for concurrent batches.
 """
 
 from __future__ import annotations
@@ -38,15 +39,10 @@ class DistributionProvider(abc.ABC):
         self._word_ids = {word: i for i, word in enumerate(vocab or ())}
 
     @abc.abstractmethod
-    def distribution(self, prompt: tuple[TokenId, ...], tokens: tuple[TokenId, ...]) -> TokenDistribution:
-        """Next-token distribution for a single sequence."""
-
     def next_distributions(
         self, prompt: Sequence[TokenId], sequences: Sequence[tuple[TokenId, ...]]
     ) -> list[TokenDistribution]:
-        """Batched query: one distribution per generated-token sequence, order-aligned."""
-        prompt = tuple(prompt)
-        return [self.distribution(prompt, tuple(tokens)) for tokens in sequences]
+        """One distribution of ``vocab_size`` entries per generated-token sequence, in order."""
 
     def encode(self, text: str) -> list[TokenId]:
         """Whitespace tokenization against the provider vocabulary.

@@ -50,8 +50,11 @@ class NGramModel(DistributionProvider):
         full = prompt + tokens
         return full[max(0, len(full) - (self.n - 1)):]
 
-    def distribution(self, prompt, tokens) -> TokenDistribution:
-        ctx = self._context(prompt, tokens)
+    def next_distributions(self, prompt, sequences) -> list[TokenDistribution]:
+        prompt = tuple(prompt)
+        return [self._row(self._context(prompt, tuple(tokens))) for tokens in sequences]
+
+    def _row(self, ctx) -> TokenDistribution:
         cached = self._cache.get(ctx)
         if cached is not None:
             return cached

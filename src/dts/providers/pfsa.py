@@ -77,9 +77,6 @@ class PfsaModel(DistributionProvider):
             dists.append(self.emissions[state])
         return dists
 
-    def distribution(self, prompt, tokens) -> TokenDistribution:
-        return self.next_distributions(prompt, [tokens])[0]
-
     def sequence_probability(self, tokens: Sequence[TokenId]) -> float:
         """Product of per-step emission probabilities along the sequence."""
         prob = 1.0

@@ -90,9 +90,6 @@ class RemoteProvider(DistributionProvider):
             raise ProtocolError(f"logprob payload sums to {total}, outside 1 +/- {_SUM_TOL}")
         return TokenDistribution(probs / total)
 
-    def distribution(self, prompt, tokens) -> TokenDistribution:
-        return self.next_distributions(prompt, [tokens])[0]
-
     def next_distributions(
         self, prompt: Sequence[TokenId], sequences: Sequence[tuple[TokenId, ...]]
     ) -> list[TokenDistribution]:

@@ -35,9 +35,12 @@ class ScriptedModel(DistributionProvider):
             if dist.vocab_size != self.vocab_size:
                 raise InvalidInputError("every rule must provide one logit per vocabulary token")
 
-    def distribution(self, prompt, tokens) -> TokenDistribution:
-        """The softmax of the first rule whose suffix ends prompt + tokens."""
-        context = tuple(prompt) + tuple(tokens)
+    def next_distributions(self, prompt, sequences) -> list[TokenDistribution]:
+        prompt = tuple(prompt)
+        return [self._row(prompt + tuple(tokens)) for tokens in sequences]
+
+    def _row(self, context) -> TokenDistribution:
+        """The softmax of the first rule whose suffix ends ``context``, the prompt and tokens."""
         for suffix, dist in self.rules:
             if len(suffix) <= len(context) and context[len(context) - len(suffix):] == suffix:
                 return dist

@@ -77,16 +77,19 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             request = json.loads(self.rfile.read(length))
             vocab_size = self.server.provider.vocab_size
-            prompt = token_ids(request["prompt"], vocab_size)
-            # other keys of a sequence, such as an older client's lineage fields, are ignored
-            sequences = [token_ids(seq["tokens"], vocab_size) for seq in request["sequences"]]
-            branch_ids = [seq["branch_id"] for seq in request["sequences"]]
-            if any(type(i) is not int or i < 0 for i in branch_ids):
-                raise InvalidInputError("branch_id must be a non-negative integer")
+            # counted before any token is parsed, so an oversized step is refused at once
+            oversized = len(request["sequences"]) * vocab_size > _MAX_VALUES
+            if not oversized:
+                prompt = token_ids(request["prompt"], vocab_size)
+                # other keys of a sequence, such as an older client's lineage fields, are ignored
+                sequences = [token_ids(seq["tokens"], vocab_size) for seq in request["sequences"]]
+                branch_ids = [seq["branch_id"] for seq in request["sequences"]]
+                if any(type(i) is not int or i < 0 for i in branch_ids):
+                    raise InvalidInputError("branch_id must be a non-negative integer")
         except Exception as exc:
             self._send_json({"error": f"bad request: {exc}"}, status=400)
             return
-        if len(sequences) * vocab_size > _MAX_VALUES:
+        if oversized:
             self._send_json({"error": f"request asks for over {_MAX_VALUES} values"}, status=413)
             return
         try:

@@ -27,8 +27,15 @@ class FixedRng:
         return value
 
 
+def row(provider, prompt, tokens):
+    """The provider's distribution for one sequence: a batch of one."""
+    return provider.next_distributions(tuple(prompt), [tuple(tokens)])[0]
+
+
 class RecordingProvider(DistributionProvider):
-    """Wraps a provider and remembers every distribution it served."""
+    """Wraps a provider and remembers every distribution it served.
+
+    ``calls`` counts rows, one per sequence asked for, not batches."""
 
     def __init__(self, inner):
         super().__init__(inner.vocab_size, inner.end_tokens, inner.vocab)
@@ -36,11 +43,12 @@ class RecordingProvider(DistributionProvider):
         self.seen = {}
         self.calls = 0
 
-    def distribution(self, prompt, tokens):
-        self.calls += 1
-        dist = self.inner.distribution(prompt, tokens)
-        self.seen[(prompt, tokens)] = dist
-        return dist
+    def next_distributions(self, prompt, sequences):
+        prompt, sequences = tuple(prompt), [tuple(tokens) for tokens in sequences]
+        dists = self.inner.next_distributions(prompt, sequences)
+        self.calls += len(sequences)
+        self.seen.update(zip([(prompt, tokens) for tokens in sequences], dists))
+        return dists
 
 
 def random_pfsa(seed, max_vocab=6, max_states=4, require_path_within=None):

@@ -38,6 +38,7 @@ from support import (
     random_ngram,
     random_pfsa,
     replay_steps,
+    row,
     two_fork_scripted,
 )
 
@@ -298,7 +299,7 @@ def test_criterion_09_wire_protocol_conformance():
             except Exception:
                 protocol_errors += 1
                 continue
-            local = provider.distribution((), prefix)
+            local = row(provider, (), prefix)
             if not np.allclose(over_wire.probs, local.probs, atol=1e-12):
                 mismatches += 1
         config = DtsConfig(

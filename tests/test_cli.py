@@ -114,6 +114,13 @@ class TestRun:
         outputs = [run_cli(capsys, argv + ["--temperature", t])[1] for t in ("0.3", "1.0")]
         assert outputs[0] != outputs[1]
 
+    def test_infinite_temperature_is_clean_error(self, capsys, pfsa_file):
+        code, out, err = run_cli(capsys, [
+            "run", "--provider", "pfsa", "--model-file", pfsa_file, "--temperature", "inf",
+        ])
+        assert code == 1 and out == ""
+        assert err.startswith("error: temperature must be finite")
+
     def test_bad_end_tokens_is_clean_error(self, capsys, pfsa_file):
         code, out, err = run_cli(capsys, [
             "run", "--provider", "pfsa", "--model-file", pfsa_file, "--end-tokens", "x",
@@ -270,14 +277,17 @@ class TestOracle:
         rows = [json.loads(l) for l in out_path.read_text().strip().splitlines()]
         assert all(row["probability"] >= 0.5 for row in rows)
 
-    def test_malformed_remote_step_response_is_clean_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["oracle", "run"])
+    def test_malformed_remote_step_response_is_clean_error(self, capsys, tmp_path, command):
         meta = {"vocab_size": 2, "end_tokens": [1], "kind": "logprobs"}
         server, url = crafted_server(meta, {"distributions": [{"branch_id": 0}]})
+        argv = {
+            "oracle": ["--max-len", "3", "--out", str(tmp_path / "paths.jsonl")],
+            # the engine wraps the protocol error; the message must still name it
+            "run": ["--k", "2", "--max-tokens", "3"],
+        }[command]
         try:
-            code, out, err = run_cli(capsys, [
-                "oracle", "--provider", "remote", "--endpoint", url,
-                "--max-len", "3", "--out", str(tmp_path / "paths.jsonl"),
-            ])
+            code, out, err = run_cli(capsys, [command, "--provider", "remote", "--endpoint", url, *argv])
         finally:
             server.shutdown()
             server.server_close()

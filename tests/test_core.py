@@ -143,6 +143,7 @@ def test_distribution_is_frozen():
         {"seed": -1},
         {"seed": 2**64},
         {"end_tokens": frozenset()},
+        {"temperature": math.inf},
     ],
 )
 def test_config_validation(kwargs):

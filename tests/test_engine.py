@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from support import (
     random_ngram,
     random_pfsa,
     replay_steps,
+    row,
     two_fork_scripted,
 )
 
@@ -305,18 +307,32 @@ class TestRunDts:
             result = run_dts(provider, [], config(tau=math.inf, temperature=t, end_tokens=frozenset({2})))
             entropies.append(result.traces[0].entropy)
         assert entropies[0] < entropies[1] < entropies[2]
-        assert entropies[1] == entropy(provider.distribution((), ()))
+        assert entropies[1] == entropy(row(provider, (), ()))
 
     def test_provider_failure_carries_step_context(self):
         from dts import DistributionProvider
 
         class Exploding(DistributionProvider):
-            def distribution(self, prompt, tokens):
+            def next_distributions(self, prompt, sequences):
                 raise RuntimeError("boom")
 
         with pytest.raises(ProviderError, match="step 0") as excinfo:
             run_dts(Exploding(4, [3]), [], config(end_tokens=frozenset({3}), k=2))
         assert isinstance(excinfo.value.__cause__, RuntimeError)
+
+    @pytest.mark.parametrize("run", [run_dts, run_standard], ids=["dts", "standard"])
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_row_of_another_vocabulary_size_rejected(self, run, size):
+        from dts import DistributionProvider, TokenDistribution
+
+        class WrongSize(DistributionProvider):
+            def next_distributions(self, prompt, sequences):
+                return [TokenDistribution([1.0 / size] * size) for _ in sequences]
+
+        # a 4-entry row would let the run emit ids outside the vocabulary, a
+        # 2-entry one would shrink top-K without a word
+        with pytest.raises(ProviderError, match=f"row of {size} entries for vocabulary size 3 at step 0"):
+            run(WrongSize(3, [2]), [], config(end_tokens=frozenset({2}), k=3, tau=0.0))
 
     def test_no_step_after_first_finish(self):
         provider = RecordingProvider(two_fork_scripted())
@@ -347,8 +363,8 @@ class TestRunDts:
             default_logits=one_hot_logits(vocab, 0, 1, 2),
             end_tokens=[3],
         )
-        dist0 = provider.distribution((), (0,))
-        dist1 = provider.distribution((), (1,))
+        dist0 = row(provider, (), (0,))
+        dist1 = row(provider, (), (1,))
 
         def draws_for(seed):
             rng = SplitMix64(seed)
@@ -512,3 +528,31 @@ def test_benchmark_hooks_are_module_globals(monkeypatch):
     calls.clear()
     result = run_standard(two_fork_scripted(), [], config())
     assert calls == {"entropy": result.steps_executed, "sample_token": result.steps_executed}
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("name", ["tree-long", "vocab-wide", "remote-loopback", "eval-batch"])
+def test_benchmark_traces_every_predicted_layer(monkeypatch, tmp_path, name):
+    # the benchmark's traced mode stops when a layer it predicts records no
+    # call; one short request per workload, traced as it traces them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+    from workloads import WORKLOADS
+
+    wl = WORKLOADS[name]
+    inst = wl.build(0)
+    try:
+        inst.tmpdir = str(tmp_path)
+        if name == "eval-batch":
+            items, eval_config = inst.reqs[0]
+            inst.reqs[0] = (items[:4], eval_config)
+        tracer = Tracer()
+        with tracer.installed(inst.provider, inst.session):
+            record, _ = inst.run(0)
+        assert tracer.missing(wl.predicted) == []
+        assert inst.check(record, 0) == []
+    finally:
+        # stops the remote-loopback server child
+        inst.close()

@@ -225,16 +225,16 @@ class TestRunEval:
     def test_interrupt_leaves_valid_prefix(self, tmp_path):
         provider = always_answer_provider()
         out = tmp_path / "records.jsonl"
-        original = provider.distribution
+        original = provider.next_distributions
         calls = {"n": 0}
 
-        def flaky(prompt, tokens):
+        def flaky(prompt, sequences):
             calls["n"] += 1
             if calls["n"] > 4:  # each item takes two steps; kill mid third item
                 raise KeyboardInterrupt
-            return original(prompt, tokens)
+            return original(prompt, sequences)
 
-        provider.distribution = flaky
+        provider.next_distributions = flaky
         with pytest.raises(KeyboardInterrupt):
             run_eval(
                 self.items(5), provider, eval_config(provider.end_tokens),
@@ -247,14 +247,14 @@ class TestRunEval:
 
     def test_provider_failure_recorded_and_run_continues(self):
         provider = always_answer_provider()
-        original = provider.distribution
+        original = provider.next_distributions
 
-        def sometimes(prompt, tokens):
+        def sometimes(prompt, sequences):
             if getattr(sometimes, "item_broken", False):
                 raise RuntimeError("backend down")
-            return original(prompt, tokens)
+            return original(prompt, sequences)
 
-        provider.distribution = sometimes
+        provider.next_distributions = sometimes
         items = self.items(3)
 
         real_encode = provider.encode

@@ -15,7 +15,7 @@ from dts import (
     verify_dts_against_oracle,
 )
 
-from support import RecordingProvider, one_hot_logits, random_pfsa
+from support import RecordingProvider, one_hot_logits, random_pfsa, row
 
 
 def geometric_pfsa(p_end=0.5):
@@ -111,7 +111,7 @@ class TestEnumerateTree:
         def live_mass(tokens, prob, depth):
             if depth == max_len:
                 return prob
-            dist = model.distribution((), tokens)
+            dist = row(model, (), tokens)
             total = 0.0
             for token in range(model.vocab_size):
                 p = float(dist.probs[token])

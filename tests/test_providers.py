@@ -14,7 +14,7 @@ from dts import (
     train_ngram,
 )
 
-from support import one_hot_logits, random_ngram, random_pfsa
+from support import one_hot_logits, random_ngram, random_pfsa, row
 
 
 class TestScripted:
@@ -31,15 +31,15 @@ class TestScripted:
             end_tokens=[3],
         )
         # suffix [1] is listed first, so it shadows the longer rule
-        dist = model.distribution((), (2, 1))
+        dist = row(model, (), (2, 1))
         assert dist.probs[0] > 0.99
 
     def test_suffix_matches_prompt_plus_tokens(self):
         model = ScriptedModel(
             rules=[([7, 1], one_hot_logits(8, 2))], default_logits=[0.0] * 8, end_tokens=[6]
         )
-        assert model.distribution((7,), (1,)).probs[2] > 0.99
-        assert model.distribution((), (1,)).probs[2] == pytest.approx(0.125)
+        assert row(model, (7,), (1,)).probs[2] > 0.99
+        assert row(model, (), (1,)).probs[2] == pytest.approx(0.125)
 
     def test_file_roundtrip(self, tmp_path):
         payload = [
@@ -53,7 +53,7 @@ class TestScripted:
         model = ScriptedModel.from_file(str(path))
         assert model.vocab_size == 3 and model.end_tokens == frozenset({2})
         assert model.vocab == ("a", "b", "<e>")
-        assert model.distribution((), (1,)).probs[0] > 0.9
+        assert row(model, (), (1,)).probs[0] > 0.9
 
     def test_rule_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -65,7 +65,7 @@ class TestNGram:
         # corpus "a b a b a b": P(b|a) = (3+1)/(3+1*3) = 2/3 with alpha=1, V=3
         model = NGramModel.from_text_corpus(["a b a b a b"], n=2, alpha=1.0)
         assert model.vocab == ("a", "b", "<e>")
-        dist = model.distribution((), (0,))
+        dist = row(model, (), (0,))
         assert dist.probs[1] == pytest.approx(2 / 3)
         assert dist.probs[0] == pytest.approx(1 / 6)
         assert dist.probs[2] == pytest.approx(1 / 6)
@@ -79,29 +79,29 @@ class TestNGram:
 
     def test_unigram_ignores_context(self):
         model = train_ngram([[0, 1, 1]], n=1, alpha=1.0)
-        a = model.distribution((), ())
-        b = model.distribution((5,), (1, 0)) if model.vocab_size > 5 else model.distribution((), (1, 0))
+        a = row(model, (), ())
+        b = row(model, (5,), (1, 0)) if model.vocab_size > 5 else row(model, (), (1, 0))
         assert np.array_equal(a.probs, b.probs)
 
     def test_huge_alpha_approaches_uniform(self):
         model = train_ngram([[0, 1, 2, 0, 1]], n=2, alpha=1e8)
-        dist = model.distribution((), (0,))
+        dist = row(model, (), (0,))
         assert np.allclose(dist.probs, 1.0 / model.vocab_size, atol=1e-3)
 
     def test_unseen_context_is_uniform(self):
         model = train_ngram([[0, 1]], n=3, alpha=0.7)
-        dist = model.distribution((), (1, 0))
+        dist = row(model, (), (1, 0))
         assert np.allclose(dist.probs, 1.0 / model.vocab_size, atol=1e-12)
 
     def test_unseen_contexts_share_one_floor_row(self):
         model = train_ngram([[0, 1, 2, 0]], n=3, alpha=0.7, vocab_size=50)
-        floor = model.distribution((), (1, 0))
-        assert model.distribution((), (7, 9)) is floor
+        floor = row(model, (), (1, 0))
+        assert row(model, (), (7, 9)) is floor
         # the smoothing arithmetic of an unseen context, bit for bit
         assert np.array_equal(floor.probs, np.full(50, 0.7) / (0 + 0.7 * 50))
         for a in range(50):
             for b in range(50):
-                model.distribution((a,), (b,))
+                row(model, (a,), (b,))
         assert set(model._cache) == {(0, 1), (1, 2)}
 
     @pytest.mark.parametrize("corpus,vocab_size,message", [
@@ -130,13 +130,13 @@ class TestNGram:
     def test_rows_normalized(self, seed):
         model = random_ngram(seed)
         for ctx in [(), (0,), (1, 2), (0, 0, 1)]:
-            total = float(model.distribution((), ctx).probs.sum())
+            total = float(row(model, (), ctx).probs.sum())
             assert abs(total - 1.0) < 1e-9
 
     def test_purity_bitwise(self):
         model = random_ngram(17)
-        first = model.distribution((1,), (0, 2))
-        second = model.distribution((1,), (0, 2))
+        first = row(model, (1,), (0, 2))
+        second = row(model, (1,), (0, 2))
         assert np.array_equal(first.probs, second.probs)
 
 
@@ -157,7 +157,7 @@ class TestPfsa:
 
     def test_prompt_is_ignored(self):
         model = self.two_state()
-        assert model.distribution((1, 1), (0,)) == model.distribution((), (0,))
+        assert row(model, (1, 1), (0,)) == row(model, (), (0,))
 
     def test_sequence_probability_is_running_product(self):
         model = self.two_state()
@@ -187,7 +187,7 @@ class TestPfsa:
         tokens = (0,) * 5000
         tracemalloc.start()
         try:
-            assert model.distribution((), tokens) == model.emissions[0]
+            assert row(model, (), tokens) == model.emissions[0]
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -280,7 +280,7 @@ class TestProviderContract:
         prefixes = [()]
         tokens = ()
         for _ in range(depth):
-            dist = model.distribution((), tokens)
+            dist = row(model, (), tokens)
             candidates = [
                 t for t in range(model.vocab_size)
                 if float(dist.probs[t]) > 0.0 and t not in model.end_tokens

@@ -27,7 +27,7 @@ from dts import (
 )
 from dts.providers import server as server_module
 
-from support import CraftedHandler, crafted_server, random_pfsa
+from support import CraftedHandler, crafted_server, random_pfsa, row
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ class TestStubServerRoundTrip:
                 remote = RemoteProvider(server.url)
                 assert remote.kind == "logits"
                 for tokens in [(), (1,), (0, 1)]:
-                    a = model.distribution((), tokens)
+                    a = row(model, (), tokens)
                     b = remote.next_distributions((), [tokens])[0]
                     assert np.allclose(a.probs, b.probs, rtol=0.0, atol=1e-12)
                     assert np.array_equal(a.probs == 0.0, b.probs == 0.0)
@@ -361,6 +361,18 @@ class TestServerSideValidation:
                 assert sock is not None and conn.sock is sock
             finally:
                 conn.close()
+
+    def test_values_cap_checked_before_tokens_are_parsed(self):
+        import requests
+
+        # 129 rows at V=65536 is just over the cap; a bad token in the last row
+        # would only be found after every row before it had been parsed
+        wide = ScriptedModel([], [0.0] * 65536)
+        sequences = [{"branch_id": i, "tokens": [0]} for i in range(128)] + [{"branch_id": 128, "tokens": [0, "x"]}]
+        with ProviderServer(wide) as server:
+            response = requests.post(server.url + "/v1/distribution",
+                                     json={"prompt": [], "sequences": sequences}, timeout=5)
+        assert response.status_code == 413
 
     def test_long_walks_leave_little_memory(self):
         model = PfsaModel(0, {0: [0.4, 0.4, 0.2]}, {0: {0: 0, 1: 0}}, end_tokens=[2])
