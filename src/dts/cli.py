@@ -11,8 +11,8 @@ from .core import DtsConfig, DtsError
 from .engine import run_dts, run_standard
 from .evalharness import (
     EvalRecord,
-    _describe_error,
     aggregate_metrics,
+    describe_error,
     export_scatter,
     load_dataset,
     read_records,
@@ -207,7 +207,7 @@ def main(argv=None) -> int:
     # a file that is not UTF-8 raises UnicodeDecodeError, a ValueError
     except (DtsError, OSError, UnicodeDecodeError) as exc:
         # the cause says why, as in "provider failed at engine step 7 <- TransportError: ..."
-        cause = "" if exc.__cause__ is None else f" <- {_describe_error(exc.__cause__)}"
+        cause = "" if exc.__cause__ is None else f" <- {describe_error(exc.__cause__)}"
         print(f"error: {exc}{cause}", file=sys.stderr)
         return 1
 

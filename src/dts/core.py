@@ -237,7 +237,7 @@ class DtsConfig(JsonRecord):
             raise InvalidInputError("tau must be >= 0 (math.inf disables branching)")
         if self.k < 1:
             raise InvalidInputError("k must be >= 1")
-        # NaN fails both comparisons; an infinite temperature would turn every zero into a 1/V
+        # NaN fails both comparisons; at T = inf any row with a zero would fail mid-run
         if not 0.0 < self.temperature < math.inf:
             raise InvalidInputError("temperature must be finite and > 0")
         if self.max_tokens < 1:

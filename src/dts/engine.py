@@ -115,9 +115,9 @@ def _validate_run_inputs(provider, prompt: Sequence[TokenId], config: DtsConfig)
 
 
 def _distributions_at(provider, prompt, sequences, step, temperature):
-    """The provider's rows for the token ``sequences``, one of its ``vocab_size`` per
-    sequence: as they are at temperature 1, else each row becomes
-    ``softmax(log p / temperature)``, so a zero stays zero."""
+    """The provider's rows for the token ``sequences``, checked to be one per sequence,
+    each of the provider's ``vocab_size``: as they are at temperature 1, else each
+    row becomes ``softmax(log p / temperature)``, so a zero stays zero."""
     try:
         dists = provider.next_distributions(prompt, sequences)
     except Exception as exc:

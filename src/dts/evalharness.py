@@ -167,7 +167,8 @@ def detect_repetition(tokens: Sequence[TokenId], terminated: bool) -> bool:
     return False
 
 
-def _describe_error(exc: BaseException) -> str:
+def describe_error(exc: BaseException) -> str:
+    """``exc`` and up to three of its causes, as "Type: message <- Type: message"."""
     parts = []
     current: BaseException | None = exc
     while current is not None and len(parts) < 4:
@@ -204,7 +205,7 @@ def _evaluate_one(item: EvalItem, seed: int, method: str, provider, config: DtsC
             terminated=False,
             repetition=False,
             wall_time=time.perf_counter() - started,
-            error=_describe_error(exc),
+            error=describe_error(exc),
         )
 
 
