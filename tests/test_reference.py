@@ -12,9 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_engine as reference
-from dts import DtsConfig, PfsaModel, ScriptedModel, run_dts, run_standard, train_ngram
+from dts import (
+    DtsConfig, PfsaModel, ScriptedModel, TokenDistribution, run_dts, run_standard, sample_token, top_k_tokens,
+    train_ngram,
+)
+from dts.branching import _ARGMAX_MAX_K, _CUMSUM_MIN_VOCAB
 
-from support import random_ngram, random_pfsa
+from support import FixedRng, random_ngram, random_pfsa
 
 LIVE = {"dts": run_dts, "standard": run_standard}
 FROZEN = {"dts": reference.run_dts, "standard": reference.run_standard}
@@ -77,6 +81,54 @@ def test_engine_matches_frozen_reference(model, method, tau, k_frac, max_branche
     assert_same(method, model, prompt, config)
 
 
+@st.composite
+def rows(draw):
+    """Rows on both sides of the sampler's size bound: one-hot, a few levels with ties and zeros, or any floats."""
+    vocab = draw(st.one_of(st.integers(1, _CUMSUM_MIN_VOCAB + 8), st.integers(_CUMSUM_MIN_VOCAB - 8, 300)))
+    kind = draw(st.sampled_from(["one-hot", "levels", "floats"]))
+    if kind == "one-hot":
+        weights = np.zeros(vocab)
+    else:
+        values = st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.5, 1e-3]) if kind == "levels" else st.floats(0.0, 1.0)
+        weights = np.array(draw(st.lists(values, min_size=vocab, max_size=vocab)))
+    weights[draw(st.integers(0, vocab - 1))] = 1.0
+    return TokenDistribution(weights / weights.sum())
+
+
+@given(dist=rows(), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_top_k_matches_frozen_reference(dist, data):
+    vocab = dist.vocab_size
+    k = data.draw(st.one_of(st.integers(1, min(vocab, _ARGMAX_MAX_K + 2)), st.integers(1, vocab)))
+    assert top_k_tokens(dist, k) == reference.top_k_tokens(dist, k)
+
+
+@given(dist=rows(), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_sample_token_matches_frozen_reference(dist, data):
+    # draws exactly at a cumulative sum, and one ulp either side, test the strict "exceeds"
+    cum = np.cumsum(dist.probs)
+    edge = float(cum[data.draw(st.integers(0, cum.size - 1))])
+    u = data.draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2.0)]),
+    ))
+    u = min(u, 1.0 - 2.0**-53)
+    assert sample_token(dist, FixedRng([u])) == reference.sample_token(dist, FixedRng([u]))
+
+
+@pytest.mark.parametrize("vocab", [8, _CUMSUM_MIN_VOCAB, 64])
+def test_sample_token_rounding_falls_back_to_last_positive_id(vocab):
+    # the row sums to 1 - 5e-7, inside PROB_SUM_TOL, and the draw lies above that total
+    weights = np.zeros(vocab)
+    weights[:3] = [0.5, 0.3, 0.2 - 5e-7]
+    dist = TokenDistribution(weights)
+    u = 1.0 - 2.0**-53
+    assert float(dist.probs.sum()) < u
+    assert sample_token(dist, FixedRng([u])) == (2, math.log(0.2 - 5e-7))
+    assert sample_token(dist, FixedRng([u])) == reference.sample_token(dist, FixedRng([u]))
+
+
 def long_tree_pfsa(vocab=64, states=8) -> PfsaModel:
     """Near-flat states and no end emission, so every run reaches its length cap."""
     rs = np.random.default_rng(5000)
@@ -96,9 +148,18 @@ def test_long_tree_run_matches_frozen_reference():
     assert json.dumps(result.to_json_dict()) == json.dumps(reference.run_dts(model, [], config).to_json_dict())
 
 
-@pytest.mark.parametrize("temperature", [1.0, 0.6])
-def test_wide_vocabulary_run_matches_frozen_reference(temperature):
-    vocab, top = 50257, 200
+@pytest.mark.parametrize(
+    "vocab,temperature",
+    [
+        pytest.param(50257, 1.0, id="1.0"),
+        pytest.param(50257, 0.6, id="0.6"),
+        # the vocabulary of the paper's DeepSeek-R1-Distill-Qwen models
+        pytest.param(152064, 1.0, id="152064-1.0"),
+        pytest.param(152064, 0.6, id="152064-0.6"),
+    ],
+)
+def test_wide_vocabulary_run_matches_frozen_reference(vocab, temperature):
+    top = 200
     rs = np.random.default_rng(50257)
     # frequent ids spread over the range; half of them are peaked contexts that
     # mostly lead to one successor, the other half flat ones that fork

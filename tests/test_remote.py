@@ -13,6 +13,7 @@ from time import perf_counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dts import (
     DtsConfig,
@@ -339,6 +340,35 @@ class TestServerSideValidation:
                 status_line = sock.makefile("rb").readline()
         assert status_line.split()[1] == str(status).encode()
 
+    @pytest.mark.parametrize("tokens", [[3, 0], [0, 2]], ids=["past-end-token", "no-transition"])
+    def test_tokens_the_provider_rejects_answered_with_400(self, pfsa, tokens):
+        import requests
+
+        with ProviderServer(pfsa) as server, requests.Session() as session:
+            url = server.url + "/v1/distribution"
+            bad = session.post(url, json={"prompt": [], "sequences": [{"branch_id": 0, "tokens": tokens}]}, timeout=5)
+            assert bad.status_code == 400
+            assert "no transition" in bad.json()["error"]
+            good = session.post(url, json={"prompt": [], "sequences": [{"branch_id": 0, "tokens": [0]}]}, timeout=5)
+            assert good.status_code == 200
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"prompt": "", "sequences": [{"branch_id": 0, "tokens": [0]}]},
+            {"prompt": [], "sequences": {}},
+            {"prompt": [], "sequences": [{"branch_id": 0, "tokens": ""}]},
+            {"prompt": [], "sequences": [{"branch_id": 0, "tokens": {}}]},
+        ],
+        ids=["string-prompt", "object-sequences", "string-tokens", "object-tokens"],
+    )
+    def test_non_list_ids_rejected_with_400(self, pfsa, request_):
+        import requests
+
+        # each of these iterates as no ids at all
+        with ProviderServer(pfsa) as server:
+            assert requests.post(server.url + "/v1/distribution", json=request_, timeout=5).status_code == 400
+
     def test_values_cap_answered_with_413(self, monkeypatch):
         monkeypatch.setattr(server_module, "_MAX_VALUES", 8)
         three_tokens = PfsaModel(0, {0: [0.5, 0.3, 0.2]}, {0: {0: 0, 1: 0}}, end_tokens=[2])
@@ -398,3 +428,91 @@ class TestServerSideValidation:
             for i in range(50):
                 dist = remote.next_distributions((), [()])[0]
                 assert abs(float(dist.probs.sum()) - 1.0) < 1e-9
+
+
+class _CountingServer(ProviderServer):
+    """Counts the connections it accepts."""
+
+    connections = 0
+
+    def process_request(self, request, client_address):
+        self.connections += 1
+        super().process_request(request, client_address)
+
+
+# walks the ``pfsa`` fixture accepts: no end token, and state 1 has no move on token 2
+_VALID_SEQUENCES = [(), (0,), (1, 1), (2, 0, 1)]
+_FUZZ_MAX_VALUES = 64
+
+
+@pytest.fixture(scope="module")
+def fuzzed(pfsa):
+    import requests
+
+    with pytest.MonkeyPatch.context() as patch:
+        # 17 sequences at V=4 are over the cap, so a fuzzed body can reach the 413
+        patch.setattr(server_module, "_MAX_VALUES", _FUZZ_MAX_VALUES)
+        with _CountingServer(pfsa) as server, requests.Session() as session:
+            yield server, session, RemoteProvider(server.url, session=session)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    # keys of at most 5 characters are never "prompt", "sequences", "tokens" or "branch_id"
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+_not_lists = _json_values.filter(lambda v: type(v) is not list)
+_bad_ids = st.one_of(
+    st.integers(max_value=-1), st.integers(min_value=4), st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+)
+
+
+@st.composite
+def _malformed_bodies(draw):
+    """A request body the server must refuse with 400 or 413."""
+    kind = draw(st.sampled_from(["bytes", "not-a-request", "missing-key", "wrong-type", "bad-id",
+                                 "rejected-walk", "over-cap"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "not-a-request":
+        return json.dumps(draw(_json_values)).encode()
+    walks = draw(st.lists(st.sampled_from(_VALID_SEQUENCES), min_size=1, max_size=4))
+    sequences = [{"branch_id": i, "tokens": list(tokens)} for i, tokens in enumerate(walks)]
+    request = {"prompt": draw(st.lists(st.integers(0, 3), max_size=3)), "sequences": sequences}
+    sequence = draw(st.sampled_from(sequences))
+    if kind == "missing-key":
+        key = draw(st.sampled_from(["prompt", "sequences", "tokens", "branch_id"]))
+        del (request if key in request else sequence)[key]
+    elif kind == "wrong-type":
+        key = draw(st.sampled_from(["prompt", "sequences", "tokens", "branch_id", "sequence"]))
+        if key == "branch_id":
+            sequence[key] = draw(_json_values.filter(lambda v: type(v) is not int or v < 0))
+        elif key == "sequence":
+            sequences[sequences.index(sequence)] = draw(_json_values.filter(lambda v: type(v) is not dict))
+        else:
+            (request if key in request else sequence)[key] = draw(_not_lists)
+    elif kind == "bad-id":
+        ids = draw(st.sampled_from([request["prompt"], sequence["tokens"]]))
+        ids.insert(draw(st.integers(0, len(ids))), draw(_bad_ids))
+    elif kind == "rejected-walk":
+        # the end token has no transition, wherever it stands
+        sequence["tokens"].insert(draw(st.integers(0, len(sequence["tokens"]))), 3)
+    else:
+        request["sequences"] = sequences * (_FUZZ_MAX_VALUES // 4 // len(sequences) + 1)
+    return json.dumps(request).encode()
+
+
+@given(body=_malformed_bodies())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_bodies_refused_on_a_live_connection(fuzzed, body):
+    server, session, remote = fuzzed
+    response = session.post(server.url + "/v1/distribution", data=body,
+                            headers={"Content-Type": "application/json"}, timeout=5)
+    assert response.status_code in (400, 413), response.text
+    # the next step on the same connection is served as if nothing had happened
+    for local, over_wire in zip(server.provider.next_distributions((), _VALID_SEQUENCES),
+                                remote.next_distributions((), _VALID_SEQUENCES)):
+        assert np.allclose(local.probs, over_wire.probs, rtol=0.0, atol=1e-12)
+        assert np.array_equal(local.probs == 0.0, over_wire.probs == 0.0)
+    assert server.connections == 1
