@@ -28,8 +28,8 @@ def _add_provider_args(parser: argparse.ArgumentParser):
     parser.add_argument("--endpoint", help="remote provider base URL")
     parser.add_argument("--model-file", help="scripted or pfsa model JSON")
     parser.add_argument("--corpus", help="n-gram corpus: one whitespace-tokenized sequence per line")
-    parser.add_argument("--order", type=int, default=2, help="n-gram order (default 2)")
-    parser.add_argument("--alpha", type=float, default=1.0, help="additive smoothing (default 1.0)")
+    parser.add_argument("--order", type=int, help="n-gram order (default 2)")
+    parser.add_argument("--alpha", type=float, help="additive smoothing (default 1.0)")
 
 
 def _add_engine_args(parser: argparse.ArgumentParser):
@@ -42,23 +42,29 @@ def _add_engine_args(parser: argparse.ArgumentParser):
     parser.add_argument("--end-tokens", help="comma-separated token ids; default: provider recommendation")
 
 
+# the provider flags each provider reads; the first is required
+_PROVIDER_FLAGS = {"remote": ("endpoint",), "scripted": ("model_file",), "pfsa": ("model_file",),
+                   "ngram": ("corpus", "order", "alpha")}
+
+
 def _build_provider(args):
+    reads = _PROVIDER_FLAGS[args.provider]
+    for name in ("endpoint", "model_file", "corpus", "order", "alpha"):
+        flag = "--" + name.replace("_", "-")
+        if name == reads[0] and not getattr(args, name):
+            raise DtsError(f"{flag} is required for the {args.provider} provider")
+        # a flag the provider does not read would silently do nothing
+        if name not in reads and getattr(args, name) is not None:
+            raise DtsError(f"{flag} is not read by the {args.provider} provider")
     if args.provider == "remote":
-        if not args.endpoint:
-            raise DtsError("--endpoint is required for the remote provider")
         return RemoteProvider(args.endpoint)
     if args.provider == "scripted":
-        if not args.model_file:
-            raise DtsError("--model-file is required for the scripted provider")
         return ScriptedModel.from_file(args.model_file)
     if args.provider == "pfsa":
-        if not args.model_file:
-            raise DtsError("--model-file is required for the pfsa provider")
         return PfsaModel.from_file(args.model_file)
-    if not args.corpus:
-        raise DtsError("--corpus is required for the ngram provider")
     lines = Path(args.corpus).read_text(encoding="utf-8").splitlines()
-    return NGramModel.from_text_corpus(lines, n=args.order, alpha=args.alpha)
+    return NGramModel.from_text_corpus(lines, n=2 if args.order is None else args.order,
+                                       alpha=1.0 if args.alpha is None else args.alpha)
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -206,7 +212,7 @@ def main(argv=None) -> int:
         return args.func(args)
     # a file that is not UTF-8 raises UnicodeDecodeError, a ValueError
     except (DtsError, OSError, UnicodeDecodeError) as exc:
-        # the cause says why, as in "provider failed at engine step 7 <- TransportError: ..."
+        # the cause says why, as in "provider failed at step 7 <- TransportError: ..."
         cause = "" if exc.__cause__ is None else f" <- {describe_error(exc.__cause__)}"
         print(f"error: {exc}{cause}", file=sys.stderr)
         return 1

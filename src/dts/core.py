@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Callable, Iterable, Optional, TypeVar, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Optional, TypeVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -57,8 +58,12 @@ def token_ids(values: Iterable[Any], vocab_size: float = math.inf) -> tuple[Toke
 
     The one check of token ids that enter from outside the program; the
     records the engine builds from checked ids are not checked again.
-    Without a ``vocab_size`` only the type and the sign are checked.
+    ``values`` may be any iterable but a string, bytes or a mapping, which
+    would iterate as characters, bytes or keys. Without a ``vocab_size``
+    only the type and the sign are checked.
     """
+    if isinstance(values, (str, bytes, bytearray, Mapping)) or not isinstance(values, Iterable):
+        raise InvalidInputError(f"token ids must be a sequence of integers, got {type(values).__name__}")
     ids = []
     for value in values:
         # an exact type test: bool is an int subclass, and is not an id
@@ -77,16 +82,13 @@ R = TypeVar("R", bound="JsonRecord")
 class JsonRecord:
     """Mixin for dataclasses whose JSON form has one key per field, in field order.
 
-    Writing turns tuples and ndarrays into lists, frozensets into sorted
-    lists and nested records into dicts. Reading coerces each value to its
-    field's annotated type: ``int``, ``float``, ``str``, ``bool``,
-    ``Optional[X]``, ``tuple[X, ...]``, ``frozenset[X]`` or a nested record;
-    a value of any other type is passed on for ``__post_init__`` to check.
-    A ``bool`` field accepts only ``true`` and ``false``, an ``int`` field
-    only an integer and a ``str`` field only a string or a number; anything
-    else raises ``InvalidInputError``.
-    An absent field keeps its default, an absent required field raises
-    ``KeyError`` and unknown keys are ignored.
+    Writing turns tuples into lists and nested records into dicts. Only flat
+    records are read back, those whose fields are all ``bool``, ``int``,
+    ``float``, ``str`` or ``Optional[str]``. A ``bool`` field accepts only
+    ``true`` and ``false``, an ``int`` field only an integer and a ``str``
+    field only a string or a number; anything else raises
+    ``InvalidInputError``. An absent field keeps its default, an absent
+    required field raises ``KeyError`` and unknown keys are ignored.
     """
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -113,41 +115,24 @@ def _json_dict(record: JsonRecord, skip: Optional[str] = None) -> dict[str, Any]
 
 
 @functools.cache
-def _json_fields(cls: type) -> tuple[tuple[str, Optional[Callable], Callable, bool], ...]:
-    """(name, writer, reader, required) per field; type hints are resolved once per class."""
+def _json_fields(cls: type) -> tuple[tuple[str, Optional[Callable], Optional[Callable], bool], ...]:
+    """(name, writer, reader, required) per field; type hints are resolved once per class.
+    A writer of None keeps the value as it is; a reader of None marks a field never read."""
     hints = get_type_hints(cls)
     return tuple(
-        (f.name, *_codec(hints[f.name]), f.default is MISSING and f.default_factory is MISSING)
+        (f.name, _writer(hints[f.name]), _READERS.get(hints[f.name]),
+         f.default is MISSING and f.default_factory is MISSING)
         for f in fields(cls)
     )
 
 
-def _codec(hint: Any) -> tuple[Optional[Callable], Callable]:
-    """Writer and reader for one annotated type; a writer of None keeps the value as it is."""
-    origin, args = get_origin(hint), get_args(hint)
-    if type(None) in args:
-        (inner,) = (a for a in args if a is not type(None))
-        write, read = _codec(inner)
-        return (None if write is None else _or_none(write)), _or_none(read)
-    if origin is tuple:
-        write, read = _codec(args[0])
-        return (list if write is None else lambda v: [write(x) for x in v]), lambda v: tuple(map(read, v))
-    if origin is frozenset:
-        read = _codec(args[0])[1]
-        return sorted, lambda v: frozenset(map(read, v))
+def _writer(hint: Any) -> Optional[Callable]:
+    if get_origin(hint) is tuple:
+        write = _writer(get_args(hint)[0])
+        return list if write is None else lambda v: [write(x) for x in v]
     if isinstance(hint, type) and issubclass(hint, JsonRecord):
-        return (lambda v: v.to_json_dict()), hint.from_json_dict
-    if hint is np.ndarray:
-        return np.ndarray.tolist, lambda v: v
-    if hint in (bool, int):
-        return None, functools.partial(_read_exact, hint)
-    if hint is str:
-        return None, _read_str
-    return None, (float if hint is float else lambda v: v)
-
-
-def _or_none(coerce: Callable) -> Callable:
-    return lambda v: None if v is None else coerce(v)
+        return lambda v: v.to_json_dict()
+    return None
 
 
 def _read_exact(kind: type, value: Any) -> Any:
@@ -164,8 +149,13 @@ def _read_str(value: Any) -> str:
     return str(value)
 
 
+# the field types of the records read back: dataset items and eval records
+_READERS = {bool: functools.partial(_read_exact, bool), int: functools.partial(_read_exact, int), float: float,
+            str: _read_str, Optional[str]: lambda v: None if v is None else _read_str(v)}
+
+
 @dataclass(frozen=True, eq=False)
-class TokenDistribution(JsonRecord):
+class TokenDistribution:
     """Probability vector over a vocabulary at one decoding position.
 
     Entries lie in [0, 1] and sum to 1 within ``PROB_SUM_TOL``. The
@@ -214,7 +204,7 @@ class BranchState(JsonRecord):
 
 
 @dataclass(frozen=True)
-class DtsConfig(JsonRecord):
+class DtsConfig:
     """Decoding parameters.
 
     ``tau`` is the entropy threshold in nats; ``tau = math.inf`` means never

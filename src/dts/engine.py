@@ -114,14 +114,15 @@ def _validate_run_inputs(provider, prompt: Sequence[TokenId], config: DtsConfig)
     return prompt
 
 
-def _distributions_at(provider, prompt, sequences, step, temperature):
+def distributions_at(provider, prompt, sequences, step, temperature):
     """The provider's rows for the token ``sequences``, checked to be one per sequence,
     each of the provider's ``vocab_size``: as they are at temperature 1, else each
-    row becomes ``softmax(log p / temperature)``, so a zero stays zero."""
+    row becomes ``softmax(log p / temperature)``, so a zero stays zero. The oracle
+    reads its rows here too, with its depth as the ``step``."""
     try:
         dists = provider.next_distributions(prompt, sequences)
     except Exception as exc:
-        raise ProviderError(f"provider failed at engine step {step}") from exc
+        raise ProviderError(f"provider failed at step {step}") from exc
     if len(dists) != len(sequences):
         raise ProviderError(
             f"provider returned {len(dists)} distributions for {len(sequences)} branches at step {step}"
@@ -162,7 +163,7 @@ def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) ->
     branch_events = 0
 
     for step in range(config.max_tokens):
-        dists = _distributions_at(provider, prompt, [b.tokens for b in branches], step, config.temperature)
+        dists = distributions_at(provider, prompt, [b.tokens for b in branches], step, config.temperature)
         # branches are in branch-id order, which fixes the rng draw order
         decisions = [branch_function(d, config, rng) for d in dists]
         decisions = apply_budget(branches, decisions, config.max_branches)
@@ -207,7 +208,7 @@ def run_standard(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=Non
     logprob = 0.0
     traces: list[StepTrace] = []
     for step in range(config.max_tokens):
-        dist = _distributions_at(provider, prompt, [tokens], step, config.temperature)[0]
+        dist = distributions_at(provider, prompt, [tokens], step, config.temperature)[0]
         h = entropy(dist)
         token, token_logprob = sample_token(dist, rng)
         tokens = tokens + (token,)

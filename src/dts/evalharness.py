@@ -224,6 +224,8 @@ def run_eval(
     run continues. With ``jobs`` > 1 items are evaluated concurrently but
     records are written in deterministic task order.
     """
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     method_list = sorted(set(methods))
     for method in method_list:
         if method not in METHODS:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import DtsConfig, InvalidInputError, JsonRecord, ResourceLimitError, TokenId, token_ids
-from .engine import run_dts
+from .engine import distributions_at, run_dts
 
 DEFAULT_WORK_LIMIT = 10_000_000
 
@@ -62,10 +62,9 @@ def enumerate_tree(
             raise ResourceLimitError(
                 f"enumeration exceeded the work limit of {work_limit} provider calls"
             )
-        dist = provider.next_distributions(prompt, [tokens])[0]
+        dist = distributions_at(provider, prompt, [tokens], len(tokens), 1.0)[0]
         children = []
-        for token in range(provider.vocab_size):
-            p = float(dist.probs[token])
+        for token, p in enumerate(dist.probs.tolist()):
             if p <= 0.0:
                 continue
             path_prob = prob * p

@@ -82,6 +82,9 @@ class RemoteProvider(DistributionProvider):
             raise ProtocolError(
                 f"server sent {len(values)} values, expected vocab_size {self.vocab_size}"
             )
+        # numpy would read a JSON true as 1.0 and a string "0.5" as 0.5
+        if not {int, float}.issuperset(map(type, values)):
+            raise ProtocolError("server sent a value that is not a JSON number")
         if self.kind == "logits":
             return softmax(values)
         probs = np.exp(np.asarray(values, dtype=np.float64))
@@ -104,7 +107,8 @@ class RemoteProvider(DistributionProvider):
                 raise ProtocolError(f"server sent {len(rows)} distributions for {len(sequences)} sequences")
             out = []
             for i, row in enumerate(rows):
-                if row["branch_id"] != i:
+                # a JSON false or 0.0 equals 0 too
+                if type(row["branch_id"]) is not int or row["branch_id"] != i:
                     raise ProtocolError("response order does not match request order")
                 out.append(self._to_distribution(row["values"]))
         except (AttributeError, KeyError, TypeError, ValueError, InvalidInputError) as exc:

@@ -26,13 +26,6 @@ _MAX_VALUES = 2**23
 _log = logging.getLogger(__name__)
 
 
-def _json_list(value) -> list:
-    # a string or an object would iterate as ids too, and "" or {} as no ids at all
-    if type(value) is not list:
-        raise InvalidInputError(f"expected a list, got {type(value).__name__}")
-    return value
-
-
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # headers and body are two writes; with Nagle's algorithm the body waits for
@@ -84,12 +77,15 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             request = json.loads(self.rfile.read(length))
             vocab_size = self.server.provider.vocab_size
+            # an object would count as no sequences at all
+            if type(request["sequences"]) is not list:
+                raise InvalidInputError("sequences must be a list")
             # counted before any token is parsed, so an oversized step is refused at once
-            oversized = len(_json_list(request["sequences"])) * vocab_size > _MAX_VALUES
+            oversized = len(request["sequences"]) * vocab_size > _MAX_VALUES
             if not oversized:
-                prompt = token_ids(_json_list(request["prompt"]), vocab_size)
+                prompt = token_ids(request["prompt"], vocab_size)
                 # other keys of a sequence, such as an older client's lineage fields, are ignored
-                sequences = [token_ids(_json_list(seq["tokens"]), vocab_size) for seq in request["sequences"]]
+                sequences = [token_ids(seq["tokens"], vocab_size) for seq in request["sequences"]]
                 branch_ids = [seq["branch_id"] for seq in request["sequences"]]
                 if any(type(i) is not int or i < 0 for i in branch_ids):
                     raise InvalidInputError("branch_id must be a non-negative integer")

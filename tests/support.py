@@ -14,6 +14,11 @@ from dts import DistributionProvider, NGramModel, PfsaModel, ScriptedModel, trai
 from dts.oracle import enumerate_tree
 
 
+# not sequences of token ids: each iterates as characters, bytes or keys, or does not iterate
+NOT_ID_SEQUENCES = ["", b"\x01", {0: 1}, {2: "x"}, 7, None]
+NOT_ID_SEQUENCE_NAMES = ["string", "bytes", "dict", "dict-of-strings", "int", "none"]
+
+
 class FixedRng:
     """Replays a scripted list of uniforms; counts draws like the real rng."""
 
@@ -160,7 +165,8 @@ def replay_steps(traces):
 
 class CraftedHandler(BaseHTTPRequestHandler):
     """Serves a fixed meta payload and a crafted step payload, and keeps the
-    JSON body of every step request in ``bodies``."""
+    JSON body of every step request in ``bodies``. A payload of ``bytes`` is
+    sent as it is, any other as JSON."""
 
     meta: dict = {}
     step: dict = {}
@@ -174,7 +180,7 @@ class CraftedHandler(BaseHTTPRequestHandler):
         pass
 
     def _send(self, payload, status=200):
-        body = json.dumps(payload).encode()
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()

@@ -121,6 +121,27 @@ class TestRun:
         assert code == 1 and out == ""
         assert err.startswith("error: temperature must be finite")
 
+    @pytest.mark.parametrize("provider,flag,value", [
+        ("pfsa", "--endpoint", "http://127.0.0.1:9"),
+        ("pfsa", "--corpus", "/nonexistent"),
+        ("pfsa", "--order", "7"),
+        ("pfsa", "--alpha", "-3"),
+        ("ngram", "--model-file", "model.json"),
+        ("ngram", "--endpoint", "http://127.0.0.1:9"),
+    ])
+    def test_flag_the_provider_does_not_read_is_clean_error(self, capsys, pfsa_file, corpus_file,
+                                                           provider, flag, value):
+        source = ["--model-file", pfsa_file] if provider == "pfsa" else ["--corpus", corpus_file]
+        code, out, err = run_cli(capsys, ["run", "--provider", provider, *source, flag, value, "--k", "2"])
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} is not read by the {provider} provider\n"
+
+    def test_ngram_order_and_alpha_are_read(self, capsys, corpus_file):
+        argv = ["run", "--provider", "ngram", "--corpus", corpus_file, "--max-tokens", "12", "--tau", "inf"]
+        default = run_cli(capsys, argv)
+        assert default == run_cli(capsys, argv + ["--order", "2", "--alpha", "1.0"])
+        assert default[1] != run_cli(capsys, argv + ["--order", "1", "--alpha", "0.01"])[1]
+
     def test_bad_end_tokens_is_clean_error(self, capsys, pfsa_file):
         code, out, err = run_cli(capsys, [
             "run", "--provider", "pfsa", "--model-file", pfsa_file, "--end-tokens", "x",
@@ -226,6 +247,15 @@ class TestEvalAndReport:
             "--dataset", str(dataset), "--seeds", "x", "--out", str(tmp_path / "records.jsonl"),
         ])
         assert code == 1 and err.startswith("error: --seeds")
+
+    def test_jobs_below_one_is_clean_error(self, capsys, tmp_path, scripted_file):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(json.dumps({"id": "a", "prompt": "go", "answer": "7"}) + "\n")
+        code, _, err = run_cli(capsys, [
+            "eval", "--provider", "scripted", "--model-file", scripted_file, "--dataset", str(dataset),
+            "--out", str(tmp_path / "records.jsonl"), "--jobs", "-4",
+        ])
+        assert code == 1 and err.startswith("error: jobs must be >= 1")
 
     def test_report_rejects_string_bool(self, capsys, tmp_path):
         line = {

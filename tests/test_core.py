@@ -1,9 +1,7 @@
-import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from dts import (
     BranchState,
@@ -16,91 +14,7 @@ from dts import (
 from dts.branching import softmax
 from dts.core import token_ids
 
-token_lists = st.lists(st.integers(min_value=0, max_value=500), max_size=12)
-logprobs = st.floats(min_value=-200.0, max_value=0.0, allow_nan=False)
-
-
-@st.composite
-def branch_states(draw):
-    return BranchState(
-        tokens=tuple(draw(token_lists)),
-        cumulative_logprob=draw(logprobs),
-        finished=draw(st.booleans()),
-        branch_id=draw(st.integers(min_value=0, max_value=100)),
-        parent_branch_id=draw(st.one_of(st.none(), st.integers(min_value=0, max_value=100))),
-        fork_step=draw(st.one_of(st.none(), st.integers(min_value=0, max_value=100))),
-    )
-
-
-@st.composite
-def step_traces(draw):
-    branched = draw(st.booleans())
-    count = draw(st.integers(min_value=2, max_value=5)) if branched else 1
-    tokens = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=99), min_size=count, max_size=count, unique=True
-        )
-    )
-    return StepTrace(
-        step=draw(st.integers(min_value=0, max_value=50)),
-        branch_id=draw(st.integers(min_value=0, max_value=50)),
-        entropy=draw(st.floats(min_value=0.0, max_value=12.0, allow_nan=False)),
-        branched=branched,
-        chosen_tokens=tuple(tokens),
-    )
-
-
-def _roundtrip(value, cls):
-    return cls.from_json_dict(json.loads(json.dumps(value.to_json_dict())))
-
-
-@given(branch_states())
-def test_branch_state_roundtrip(state):
-    assert _roundtrip(state, BranchState) == state
-
-
-@given(step_traces())
-def test_step_trace_roundtrip(trace):
-    assert _roundtrip(trace, StepTrace) == trace
-
-
-@given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=30))
-def test_distribution_roundtrip(weights):
-    arr = np.asarray(weights)
-    dist = TokenDistribution(arr / arr.sum())
-    assert _roundtrip(dist, TokenDistribution) == dist
-
-
-@given(
-    st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
-    st.integers(min_value=1, max_value=8),
-    st.integers(min_value=1, max_value=64),
-)
-def test_config_roundtrip(tau, k, max_tokens):
-    cfg = DtsConfig(
-        tau=tau, k=k, temperature=0.7, max_tokens=max_tokens, end_tokens=frozenset({3, 5}),
-        max_branches=16, seed=123,
-    )
-    assert _roundtrip(cfg, DtsConfig) == cfg
-
-
-def test_config_infinite_tau_roundtrips():
-    cfg = DtsConfig(tau=math.inf, k=3, temperature=1.0, max_tokens=4, end_tokens=frozenset({1}))
-    again = _roundtrip(cfg, DtsConfig)
-    assert again.tau == math.inf and again == cfg
-
-
-@given(branch_states())
-def test_run_result_roundtrip(output):
-    result = RunResult(
-        output=output,
-        terminated=output.finished,
-        steps_executed=len(output.tokens),
-        peak_frontier_size=3,
-        total_branch_events=2,
-        traces=(StepTrace(0, 0, 0.5, False, (4,)),),
-    )
-    assert _roundtrip(result, RunResult) == result
+from support import NOT_ID_SEQUENCE_NAMES, NOT_ID_SEQUENCES
 
 
 def test_run_result_traces_optional_in_json():
@@ -171,6 +85,14 @@ def test_token_ids_accepts_python_and_numpy_integers():
 def test_token_ids_rejects_non_integers_and_out_of_range(bad):
     with pytest.raises(InvalidInputError):
         token_ids([0, bad], 3)
+
+
+@pytest.mark.parametrize("values", NOT_ID_SEQUENCES, ids=NOT_ID_SEQUENCE_NAMES)
+def test_token_ids_refuses_what_is_not_a_sequence_of_ids(values):
+    with pytest.raises(InvalidInputError, match="sequence of integers"):
+        token_ids(values, 3)
+    with pytest.raises(InvalidInputError, match="sequence of integers"):
+        DtsConfig(tau=1.0, k=2, temperature=1.0, max_tokens=8, end_tokens=values)
 
 
 def test_token_ids_names_a_negative_id_without_a_vocabulary():

@@ -23,6 +23,8 @@ from dts import (
 from dts.branching import entropy, top_k_tokens
 
 from support import (
+    NOT_ID_SEQUENCE_NAMES,
+    NOT_ID_SEQUENCES,
     RecordingProvider,
     TWO_FORK_WINNER,
     one_hot_logits,
@@ -292,6 +294,12 @@ class TestRunDts:
     def test_prompt_ids_must_be_integers_in_range(self, prompt):
         with pytest.raises(InvalidInputError):
             run_dts(chain_scripted([5]), prompt, config())
+
+    @pytest.mark.parametrize("runner", [run_dts, run_standard])
+    @pytest.mark.parametrize("prompt", NOT_ID_SEQUENCES, ids=NOT_ID_SEQUENCE_NAMES)
+    def test_prompt_that_is_not_a_sequence_of_ids_rejected(self, runner, prompt):
+        with pytest.raises(InvalidInputError, match="sequence of integers"):
+            runner(chain_scripted([5]), prompt, config())
 
     def test_k_above_vocab_rejected(self):
         provider = chain_scripted([5])

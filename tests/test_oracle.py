@@ -4,18 +4,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dts import (
+    DistributionProvider,
     DtsConfig,
     EnumeratedPath,
     InvalidInputError,
     PfsaModel,
+    ProviderError,
     ResourceLimitError,
     ScriptedModel,
+    TokenDistribution,
     enumerate_tree,
+    run_dts,
     shortest_terminating,
     verify_dts_against_oracle,
 )
 
-from support import RecordingProvider, one_hot_logits, random_pfsa, row
+from support import NOT_ID_SEQUENCE_NAMES, NOT_ID_SEQUENCES, RecordingProvider, one_hot_logits, random_pfsa, row
 
 
 def geometric_pfsa(p_end=0.5):
@@ -81,6 +85,42 @@ class TestEnumerateTree:
         assert len(paths) == 200
         assert all(p.probability >= 0.0 for p in paths)
         assert any(p.probability == 0.0 for p in paths)
+
+    @pytest.mark.parametrize("prompt", NOT_ID_SEQUENCES, ids=NOT_ID_SEQUENCE_NAMES)
+    def test_prompt_that_is_not_a_sequence_of_ids_rejected(self, prompt):
+        with pytest.raises(InvalidInputError, match="sequence of integers"):
+            enumerate_tree(geometric_pfsa(), prompt, max_len=3)
+
+    @pytest.mark.parametrize(
+        "rows,error",
+        [
+            ([[0.5, 0.5]], "row of 2 entries for vocabulary size 3 at step 0"),
+            ([[0.25] * 4], "row of 4 entries for vocabulary size 3 at step 0"),
+            ([], "0 distributions for 1 branches at step 0"),
+        ],
+        ids=["short", "long", "missing"],
+    )
+    def test_bad_rows_are_provider_errors(self, rows, error):
+        class BadRows(DistributionProvider):
+            def next_distributions(self, prompt, sequences):
+                return [TokenDistribution(probs) for probs in rows]
+
+        provider = BadRows(3, [2])
+        with pytest.raises(ProviderError, match=error):
+            enumerate_tree(provider, [], max_len=3)
+        with pytest.raises(ProviderError, match=error):
+            run_dts(provider, [], full_fanout_config(provider, 3))
+
+    def test_provider_failure_is_provider_error(self):
+        class Exploding(DistributionProvider):
+            def next_distributions(self, prompt, sequences):
+                if sequences[0]:
+                    raise RuntimeError("boom")
+                return [TokenDistribution([0.5, 0.5])]
+
+        with pytest.raises(ProviderError, match="step 1") as excinfo:
+            enumerate_tree(Exploding(2, [1]), [], max_len=3)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
 
     def test_work_limit_enforced(self):
         with pytest.raises(ResourceLimitError, match="3"):
@@ -151,18 +191,6 @@ class TestShortestTerminating:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             shortest_terminating([])
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8),
-        st.floats(min_value=1e-12, max_value=1.0),
-    )
-    @settings(max_examples=30)
-    def test_path_json_roundtrip(self, tokens, probability):
-        import json
-
-        path = self.path(tokens, probability)
-        again = EnumeratedPath.from_json_dict(json.loads(json.dumps(path.to_json_dict())))
-        assert again == path
 
 
 class TestVerifyAgainstOracle:

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from dts import (
     DtsConfig,
+    DtsError,
     InvalidInputError,
     PfsaModel,
     ProtocolError,
@@ -211,8 +212,13 @@ class TestProtocolValidation:
         {"distributions": [{"branch_id": 0, "values": ["a", "b"]}]},
         {"distributions": [{"branch_id": "0", "values": HALF}]},
         {"distributions": [{"branch_id": 0, "values": [math.nan, 0.0]}]},
+        # numpy would read these values as [1, 0], and false equals position 0
+        {"distributions": [{"branch_id": 0, "values": [False, -1e9]}]},
+        {"distributions": [{"branch_id": 0, "values": ["0", "-1e9"]}]},
+        {"distributions": [{"branch_id": False, "values": HALF}]},
     ], ids=["distributions-a-number", "row-a-number", "row-without-values", "branch-id-not-a-number",
-            "values-a-number", "values-not-numbers", "branch-id-a-numeric-string", "values-nan"])
+            "values-a-number", "values-not-numbers", "branch-id-a-numeric-string", "values-nan",
+            "values-bools", "values-numeric-strings", "branch-id-false"])
     def test_malformed_step_payload_is_protocol_error(self, step):
         with pytest.raises(ProtocolError):
             self.run_step(META, step)
@@ -516,3 +522,126 @@ def test_fuzzed_bodies_refused_on_a_live_connection(fuzzed, body):
         assert np.allclose(local.probs, over_wire.probs, rtol=0.0, atol=1e-12)
         assert np.array_equal(local.probs == 0.0, over_wire.probs == 0.0)
     assert server.connections == 1
+
+
+_CLIENT_META = {"vocab_size": 4, "end_tokens": [3], "kind": "logprobs"}
+_CLIENT_SEQUENCES = [(), (0,)]
+_ROWS = {"logits": [0.0] * 4, "logprobs": [math.log(0.25)] * 4}
+# numpy reads a bool or a numeric string as a number, so both are drawn often
+_not_numbers = st.one_of(st.booleans(), st.sampled_from(["0", "-1e9", math.nan, math.inf, None]),
+                         _json_values.filter(lambda v: type(v) not in (int, float)))
+# a JSON false, true or float equals the positions 0 and 1 too
+_not_positions = st.sampled_from([False, True, 0.0, 1.0]) | _json_values.filter(lambda v: type(v) is not int)
+
+
+@pytest.fixture(scope="module")
+def crafted():
+    server, url = crafted_server(_CLIENT_META, {})
+    yield server.RequestHandlerClass, url
+    server.shutdown()
+    server.server_close()
+
+
+def _step_body(kind):
+    return {"distributions": [{"branch_id": i, "values": list(_ROWS[kind])} for i in range(len(_CLIENT_SEQUENCES))]}
+
+
+@st.composite
+def _malformed_handshakes(draw):
+    """A ``/v1/meta`` body the client must refuse; 32 random bytes are too few for a valid one."""
+    kind = draw(st.sampled_from(["bytes", "not-a-handshake", "missing-key", "vocab-size", "end-tokens",
+                                 "bad-end-token", "kind"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=32))
+    if kind == "not-a-handshake":
+        return json.dumps(draw(_json_values)).encode()
+    meta = dict(_CLIENT_META, kind=draw(st.sampled_from(["logits", "logprobs"])), end_tokens=[3])
+    if kind == "missing-key":
+        del meta[draw(st.sampled_from(sorted(meta)))]
+    elif kind == "vocab-size":
+        # the end token 3 needs at least 4 ids
+        meta["vocab_size"] = draw(_json_values.filter(lambda v: type(v) is not int or v < 4))
+    elif kind == "end-tokens":
+        meta["end_tokens"] = draw(_not_lists)
+    elif kind == "bad-end-token":
+        meta["end_tokens"].insert(draw(st.integers(0, 1)), draw(_bad_ids))
+    else:
+        meta["kind"] = draw(_json_values.filter(lambda v: v not in ("logits", "logprobs")))
+    return json.dumps(meta).encode()
+
+
+@st.composite
+def _malformed_steps(draw):
+    """A payload kind and a ``/v1/distribution`` body the client must refuse."""
+    payload_kind = draw(st.sampled_from(["logits", "logprobs"]))
+    kind = draw(st.sampled_from(["bytes", "not-a-step", "missing-key", "wrong-type", "bad-value", "wrong-length",
+                                 "wrong-count", "swapped", "bad-sum"]))
+    if kind == "bytes":
+        return payload_kind, draw(st.binary(max_size=32))
+    if kind == "not-a-step":
+        return payload_kind, json.dumps(draw(_json_values)).encode()
+    body = _step_body(payload_kind)
+    rows = body["distributions"]
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "missing-key":
+        key = draw(st.sampled_from(["distributions", "branch_id", "values"]))
+        del (body if key == "distributions" else rows[i])[key]
+    elif kind == "wrong-type":
+        key = draw(st.sampled_from(["distributions", "row", "branch_id", "values"]))
+        if key == "distributions":
+            body[key] = draw(_not_lists)
+        elif key == "row":
+            rows[i] = draw(_json_values.filter(lambda v: type(v) is not dict))
+        elif key == "branch_id":
+            rows[i][key] = draw(_not_positions | st.integers().filter(lambda v: v != i))
+        else:
+            rows[i][key] = draw(_not_lists)
+    elif kind == "bad-value":
+        rows[i]["values"][draw(st.integers(0, 3))] = draw(_not_numbers)
+    elif kind == "wrong-length":
+        rows[i]["values"] = draw(st.lists(st.floats(-5.0, 0.0), max_size=6).filter(lambda v: len(v) != 4))
+    elif kind == "wrong-count":
+        body["distributions"] = draw(st.sampled_from([[], rows[:1], rows + rows[:1]]))
+    elif kind == "swapped":
+        rows.reverse()
+    else:
+        # four log-probabilities of 0: the probabilities sum to 4
+        payload_kind = "logprobs"
+        rows[i]["values"] = [0.0] * 4
+    return payload_kind, json.dumps(body).encode()
+
+
+@pytest.mark.parametrize("payload_kind", ["logits", "logprobs"])
+def test_unmutated_fuzz_bodies_are_accepted(crafted, payload_kind):
+    import requests
+
+    handler, url = crafted
+    handler.meta, handler.step = dict(_CLIENT_META, kind=payload_kind), _step_body(payload_kind)
+    with requests.Session() as session:
+        rows = RemoteProvider(url, session=session).next_distributions((), _CLIENT_SEQUENCES)
+    assert [row.probs.tolist() for row in rows] == [[0.25] * 4] * 2
+
+
+@given(meta=_malformed_handshakes())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_handshakes_raise_dts_errors(crafted, meta):
+    import requests
+
+    handler, url = crafted
+    handler.meta = meta
+    with requests.Session() as session, pytest.raises(DtsError):
+        RemoteProvider(url, session=session)
+
+
+@given(case=_malformed_steps())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_step_bodies_raise_dts_errors(crafted, case):
+    import requests
+
+    payload_kind, body = case
+    handler, url = crafted
+    handler.meta, handler.step = dict(_CLIENT_META, kind=payload_kind), body
+    with requests.Session() as session:
+        remote = RemoteProvider(url, session=session)
+        with pytest.raises(DtsError):
+            remote.next_distributions((), _CLIENT_SEQUENCES)
