@@ -76,6 +76,26 @@ def token_ids(values: Iterable[Any], vocab_size: float = math.inf) -> tuple[Toke
     return tuple(ids)
 
 
+# the types json.loads gives a JSON number
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def json_numbers(values: Any) -> list:
+    """``values`` as it is: a list of JSON numbers, each a Python ``int`` or ``float``.
+
+    The one check of numbers read from JSON (model files, records and the
+    wire). ``json.loads`` reads every JSON number as one of the two, and the
+    exact type test refuses a ``true`` (``bool`` is an ``int`` subclass) and a
+    string such as ``"0.5"``, which ``float()`` and numpy read as numbers.
+    """
+    if not isinstance(values, list):
+        raise InvalidInputError(f"values must be numbers in a JSON array, got {type(values).__name__}")
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _NUMBER_TYPES)
+        raise InvalidInputError(f"values must be numbers, got {bad!r}")
+    return values
+
+
 R = TypeVar("R", bound="JsonRecord")
 
 
@@ -150,7 +170,8 @@ def _read_str(value: Any) -> str:
 
 
 # the field types of the records read back: dataset items and eval records
-_READERS = {bool: functools.partial(_read_exact, bool), int: functools.partial(_read_exact, int), float: float,
+_READERS = {bool: functools.partial(_read_exact, bool), int: functools.partial(_read_exact, int),
+            float: lambda v: float(json_numbers([v])[0]),
             str: _read_str, Optional[str]: lambda v: None if v is None else _read_str(v)}
 
 

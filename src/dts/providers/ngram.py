@@ -9,7 +9,7 @@ and the model can always terminate.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,9 +61,15 @@ class NGramModel(DistributionProvider):
         counts = self.counts.get(ctx)
         if counts is None:
             return self._floor
+        # checked once per context here, not at construction, which would read
+        # every count of every context: a key of -1 would index from the end, a
+        # key of True would add to every id, and a count of True is not 1
+        tokens = token_ids(counts.keys(), self.vocab_size)
+        values = list(counts.values())
+        if not ({int}.issuperset(map(type, values)) and min(values, default=1) > 0):
+            raise InvalidInputError(f"counts of context {ctx} must be positive integers")
         row = np.full(self.vocab_size, self.alpha, dtype=np.float64)
-        for token, count in counts.items():
-            row[token] += count
+        row[np.fromiter(tokens, np.intp, len(tokens))] += np.fromiter(values, np.float64, len(values))
         dist = TokenDistribution(row / (self.context_totals[ctx] + self.alpha * self.vocab_size))
         self._cache[ctx] = dist
         return dist
@@ -115,10 +121,8 @@ def train_ngram(
     if end_tokens is None:
         end_tokens = [vocab_size - 1]
 
-    counts: dict[tuple[TokenId, ...], Counter] = {}
+    counts: dict[tuple[TokenId, ...], Counter] = defaultdict(Counter)
     for seq in sequences:
         for i in range(len(seq) - n + 1):
-            window = seq[i:i + n]
-            ctx, target = window[:-1], window[-1]
-            counts.setdefault(ctx, Counter())[target] += 1
+            counts[seq[i:i + n - 1]][seq[i + n - 1]] += 1
     return NGramModel(n, alpha, counts, vocab_size, end_tokens, vocab=vocab)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from typing import Hashable, Optional, Sequence
 
-from ..core import InvalidInputError, TokenDistribution, TokenId
+from ..core import InvalidInputError, TokenDistribution, TokenId, json_numbers
 from .base import DistributionProvider, read_model_file
 
 State = Hashable
@@ -104,7 +104,7 @@ class PfsaModel(DistributionProvider):
         states = data["states"]
         return cls(
             initial_state=data["initial_state"],
-            emissions={name: spec["emissions"] for name, spec in states.items()},
+            emissions={name: json_numbers(spec["emissions"]) for name, spec in states.items()},
             transitions={
                 name: {int(key): s for key, s in spec.get("transitions", {}).items()}
                 for name, spec in states.items()

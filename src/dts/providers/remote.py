@@ -23,7 +23,7 @@ import numpy as np
 import requests
 
 from ..branching import softmax
-from ..core import InvalidInputError, ProtocolError, TokenDistribution, TokenId, TransportError
+from ..core import InvalidInputError, ProtocolError, TokenDistribution, TokenId, TransportError, json_numbers
 from .base import DistributionProvider
 
 # acceptance window for raw logprob payload sums; 0.999 must renormalize
@@ -83,8 +83,7 @@ class RemoteProvider(DistributionProvider):
                 f"server sent {len(values)} values, expected vocab_size {self.vocab_size}"
             )
         # numpy would read a JSON true as 1.0 and a string "0.5" as 0.5
-        if not {int, float}.issuperset(map(type, values)):
-            raise ProtocolError("server sent a value that is not a JSON number")
+        json_numbers(values)
         if self.kind == "logits":
             return softmax(values)
         probs = np.exp(np.asarray(values, dtype=np.float64))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..branching import softmax
-from ..core import InvalidInputError, TokenDistribution, TokenId, token_ids
+from ..core import InvalidInputError, TokenDistribution, TokenId, json_numbers, token_ids
 from .base import DistributionProvider, read_model_file
 
 
@@ -67,9 +67,9 @@ class ScriptedModel(DistributionProvider):
         vocab = None
         for entry in entries:
             if "default" in entry:
-                default = entry["default"]
+                default = json_numbers(entry["default"])
             elif "suffix" in entry and "logits" in entry:
-                rules.append((entry["suffix"], entry["logits"]))
+                rules.append((entry["suffix"], json_numbers(entry["logits"])))
             elif "end_tokens" in entry:
                 end_tokens = entry["end_tokens"]
             elif "vocab" in entry:

@@ -14,6 +14,7 @@ from dts import (
     sample_token,
     top_k_tokens,
 )
+from dts import branching
 from dts.branching import softmax
 
 from support import FixedRng
@@ -143,6 +144,48 @@ class TestTopK:
         if k > d.vocab_size:
             k = d.vocab_size
         assert top_k_tokens(d, k) == top_k_tokens(d, k)
+
+
+class TestRowMemo:
+    """A row's entropy and top-K are computed once per row object."""
+
+    def test_second_entropy_call_is_equal_and_reuses_the_first(self, monkeypatch):
+        d = dist(0.5, 0.25, 0.25)
+        first = entropy(d)
+        # a second call that redid the numpy work would fail here
+        monkeypatch.setattr(branching, "np", None)
+        assert entropy(d) == first
+
+    def test_one_hot_keeps_its_negative_zero(self):
+        d = one_hot(4, 2)
+        assert [math.copysign(1.0, entropy(d)) for _ in range(2)] == [-1.0, -1.0]
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_second_top_k_call_is_equal(self, monkeypatch, k):
+        d = dist(*np.arange(1, 13) / 78)
+        first = top_k_tokens(d, k)
+        monkeypatch.setattr(branching, "np", None)
+        assert top_k_tokens(d, k) == first
+
+    def test_each_k_has_its_own_picks(self):
+        d = dist(0.1, 0.3, 0.05, 0.25, 0.3)
+        for k, expected in ((2, [1, 4]), (3, [1, 4, 3]), (2, [1, 4])):
+            assert [t for t, _ in top_k_tokens(d, k)] == expected
+
+    def test_changing_a_returned_list_leaves_the_next_call_alone(self):
+        d = dist(0.1, 0.5, 0.4)
+        picks = top_k_tokens(d, 2)
+        expected = list(picks)
+        picks.append((0, 0.0))
+        picks[0] = (2, 0.0)
+        assert top_k_tokens(d, 2) == expected
+
+    def test_bad_k_is_still_rejected_after_a_good_one(self):
+        d = uniform(4)
+        top_k_tokens(d, 2)
+        for k in (0, 5):
+            with pytest.raises(InvalidInputError):
+                top_k_tokens(d, k)
 
 
 class TestSampleToken:

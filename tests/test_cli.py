@@ -188,7 +188,11 @@ class TestFilesFailCleanly:
         ("scripted", [{"default": ["a", 0, 0]}]),
         ("pfsa", {"initial_state": "s0", "end_tokens": [1],
                   "states": {"s0": {"emissions": [0.5, "x"], "transitions": {"0": "s0"}}}}),
-    ], ids=["scripted-logit", "pfsa-emission"])
+        # numpy would read these as [1, 1, 0] and [0.5, 0.5, 0], and the run would go on
+        ("scripted", [{"default": ["1", True, 0]}]),
+        ("pfsa", {"initial_state": "s0", "end_tokens": [2],
+                  "states": {"s0": {"emissions": ["0.5", 0.5, False], "transitions": {"0": "s0", "1": "s0"}}}}),
+    ], ids=["scripted-logit", "pfsa-emission", "scripted-string-and-bool", "pfsa-string-and-bool"])
     def test_non_numeric_model_value_is_clean_error(self, capsys, tmp_path, provider, content):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(content))
@@ -267,6 +271,18 @@ class TestEvalAndReport:
         code, out, err = run_cli(capsys, ["report", "--records", str(records_path)])
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "'false'" in err
+
+    @pytest.mark.parametrize("wall_time", [True, "nan"])
+    def test_report_rejects_a_wall_time_that_is_not_a_number(self, capsys, tmp_path, wall_time):
+        line = {
+            "item_id": "q1", "seed": 0, "method": "dts", "correct": True, "length": 3,
+            "terminated": True, "repetition": False, "wall_time": wall_time,
+        }
+        records_path = tmp_path / "records.jsonl"
+        records_path.write_text(json.dumps(line) + "\n")
+        code, out, err = run_cli(capsys, ["report", "--records", str(records_path)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {records_path}: line 1: ")
 
     @pytest.mark.parametrize("bad_line", ["missing length", "not json"])
     def test_report_names_the_bad_line(self, capsys, tmp_path, bad_line):

@@ -12,7 +12,7 @@ from dts import (
     TokenDistribution,
 )
 from dts.branching import softmax
-from dts.core import token_ids
+from dts.core import json_numbers, token_ids
 
 from support import NOT_ID_SEQUENCE_NAMES, NOT_ID_SEQUENCES
 
@@ -106,6 +106,14 @@ def test_non_numeric_entries_are_invalid_input(bad):
         TokenDistribution(bad)
     with pytest.raises(InvalidInputError, match="must be numbers"):
         softmax(bad)
+
+
+def test_json_numbers_takes_ints_and_floats_only():
+    values = [1, 0.5, -2, math.inf]
+    assert json_numbers(values) is values
+    for bad in (["1", 0.0], [True, 0.0], [None], [np.float64(0.5)], (0.5, 0.5), 0.5, "0.5"):
+        with pytest.raises(InvalidInputError, match="must be numbers"):
+            json_numbers(bad)
 
 
 def test_distribution_rejects_entries_above_one():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from dts import (
     run_eval,
     selection_strategy_analysis,
 )
-from dts.evalharness import hash64
+from dts.evalharness import hash64, read_records
 
 from support import one_hot_logits
 
@@ -57,6 +58,14 @@ def test_record_int_fields_accept_only_integers(field, value):
 
 def test_record_float_field_accepts_an_integer():
     assert EvalRecord.from_json_dict(dict(record().to_json_dict(), wall_time=1)).wall_time == 1.0
+
+
+@pytest.mark.parametrize("wall_time", [True, "nan"])
+def test_records_file_with_a_wall_time_that_is_not_a_number(tmp_path, wall_time):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(dict(record().to_json_dict(), wall_time=wall_time)) + "\n")
+    with pytest.raises(DatasetError, match="line 1"):
+        list(read_records(path, EvalRecord))
 
 
 class TestLoadDataset:
@@ -299,6 +308,31 @@ class TestRunEval:
                 sys.setswitchinterval(interval)
             assert strip(serial) == strip(parallel)
         assert max(r.length for r in serial) > 10
+
+    def test_threads_filling_the_same_rows_give_the_serial_records(self):
+        # every run shares the automaton's two rows; on a fresh model four threads
+        # compute and keep each row's entropy and top-K at the same time
+        def build():
+            return PfsaModel(
+                initial_state=0,
+                emissions={0: [0.05, 0.5, 0.43, 0.02], 1: [0.3, 0.3, 0.38, 0.02]},
+                transitions={0: {0: 1, 1: 1, 2: 0}, 1: {0: 0, 1: 1, 2: 0}},
+                end_tokens=[3],
+                vocab=["\\boxed{42}", "x", "y", "<e>"],
+            )
+
+        cfg = eval_config(frozenset({3}), tau=0.9)
+        runs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for jobs in (1, 4):
+                records = run_eval(self.items(8), build(), cfg, [0, 1, 2], {"dts", "standard"}, jobs=jobs)
+                runs[jobs] = [dataclasses.replace(r, wall_time=0.0) for r in records]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[4] == runs[1]
+        assert len(runs[1]) == 48 and not any(r.error for r in runs[1])
 
     def test_method_seeds_are_decoupled(self):
         assert hash64(0, "q1", "dts") != hash64(0, "q1", "standard")

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 
@@ -7,10 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dts import (
+    DtsConfig,
     InvalidInputError,
     NGramModel,
     PfsaModel,
+    ProviderError,
     ScriptedModel,
+    run_dts,
     train_ngram,
 )
 
@@ -113,6 +117,27 @@ class TestNGram:
         # a -1 would otherwise be counted as the last id, the end token
         with pytest.raises(InvalidInputError, match=message):
             train_ngram(corpus, 2, 1.0, vocab_size=vocab_size)
+
+    @pytest.mark.parametrize("counts,message", [
+        ({(0,): {-1: 5}}, "is negative"),
+        ({(0,): {True: 5}}, "not an integer"),
+        ({(0,): {4: 5}}, "outside vocabulary"),
+        ({(0,): {1: 0}}, "positive integers"),
+        ({(0,): {1: 2.5}}, "positive integers"),
+        ({(0,): {1: True}}, "positive integers"),
+    ], ids=["negative-id", "bool-id", "beyond-vocab", "zero-count", "float-count", "bool-count"])
+    def test_counts_checked_when_their_row_is_built(self, counts, message):
+        # a -1 would move the mass to the last id, and a True key would add to every id
+        model = NGramModel(2, 1.0, counts, 4, [3])
+        with pytest.raises(InvalidInputError, match=message):
+            row(model, (), (0,))
+
+    def test_bad_counts_end_a_run_with_provider_error(self):
+        model = NGramModel(2, 1.0, {(0,): {-1: 5}}, 4, [3])
+        config = DtsConfig(tau=math.inf, k=1, temperature=1.0, max_tokens=4, end_tokens=frozenset({3}))
+        with pytest.raises(ProviderError) as info:
+            run_dts(model, [0], config)
+        assert isinstance(info.value.__cause__, InvalidInputError)
 
     @pytest.mark.parametrize("n,alpha", [(0, 1.0), (2, 0.0)])
     def test_order_and_alpha_checked_before_counting(self, n, alpha):
