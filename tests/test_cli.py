@@ -1,4 +1,8 @@
 import json
+import re
+import shlex
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +256,26 @@ class TestEvalAndReport:
         ])
         assert code == 1 and err.startswith("error: --seeds")
 
+    def test_empty_method_list_is_clean_error(self, capsys, tmp_path, scripted_file):
+        dataset = tmp_path / "items.jsonl"
+        dataset.write_text(json.dumps({"id": "q0", "prompt": "", "answer": "7"}) + "\n")
+        out = tmp_path / "records.jsonl"
+        code, _, err = run_cli(capsys, [
+            "eval", "--provider", "scripted", "--model-file", scripted_file, "--dataset", str(dataset),
+            "--methods", ",", "--out", str(out),
+        ])
+        assert code == 1 and err.startswith("error: an eval needs at least one method and one seed")
+        assert not out.exists()
+
+    def test_repeated_seed_runs_once(self, capsys, tmp_path, scripted_file):
+        dataset = tmp_path / "items.jsonl"
+        dataset.write_text(json.dumps({"id": "q0", "prompt": "", "answer": "7"}) + "\n")
+        code, _, err = run_cli(capsys, [
+            "eval", "--provider", "scripted", "--model-file", scripted_file, "--dataset", str(dataset),
+            "--methods", "standard", "--seeds", "0,0", "--out", str(tmp_path / "records.jsonl"),
+        ])
+        assert code == 0 and "wrote 1 records" in err
+
     def test_jobs_below_one_is_clean_error(self, capsys, tmp_path, scripted_file):
         dataset = tmp_path / "data.jsonl"
         dataset.write_text(json.dumps({"id": "a", "prompt": "go", "answer": "7"}) + "\n")
@@ -347,3 +371,48 @@ class TestServe:
         code, _, err = run_cli(capsys, ["serve", "--provider", "pfsa", "--model-file", pfsa_file, "--port", port])
         assert code == 1
         assert err.startswith(f"error: --port {port} ")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def walkthrough_steps():
+    """The README's CLI walkthrough in order: ("file", name, text) for each file
+    it writes with printf or a heredoc, and ("dts", argv) for each command."""
+    section = README.read_text(encoding="utf-8").split("## CLI walkthrough\n", 1)[1].split("\n## ", 1)[0]
+    steps = []
+    for block in re.findall(r"```bash\n(.*?)```", section, re.S):
+        lines = iter(block.replace("\\\n", " ").splitlines())
+        for line in lines:
+            if line.startswith("cat > "):
+                body = takewhile(lambda text: text != "EOF", lines)
+                steps.append(("file", line.split()[2], "".join(text + "\n" for text in body)))
+            elif line.startswith("printf "):
+                _, text, _, name = shlex.split(line)
+                steps.append(("file", name, text.replace("\\n", "\n")))
+            elif line.startswith("dts "):
+                steps.append(("dts", shlex.split(line)[1:]))
+    return steps
+
+
+def test_readme_walkthrough_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for step in walkthrough_steps():
+        if step[0] == "file":
+            Path(step[1]).write_text(step[2], encoding="utf-8")
+            continue
+        argv = step[1]
+        # serving needs a second process; the remote run needs the server
+        if argv[0] == "serve" or "remote" in argv:
+            continue
+        outputs = []
+        for _ in range(2 if argv[:3] == ["run", "--provider", "ngram"] else 1):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 0, (argv, err)
+            outputs.append(out.encode("utf-8"))
+        assert outputs.count(outputs[0]) == len(outputs), argv
+        ran.append(argv[0] + (" ngram" if "ngram" in argv else ""))
+    assert ran == ["run ngram", "oracle", "eval", "report"]
+    assert json.loads(Path("paths.jsonl").read_text().splitlines()[0])
+    assert len(Path("records.jsonl").read_text().splitlines()) == 10

@@ -286,6 +286,19 @@ class TestRunEval:
         with pytest.raises(InvalidInputError):
             run_eval(self.items(1), provider, eval_config(provider.end_tokens), [0], {"beam"})
 
+    @pytest.mark.parametrize("seeds,methods", [([0], []), ([], ["dts"]), ([], [])],
+                             ids=["no-method", "no-seed", "neither"])
+    def test_empty_seed_or_method_list_rejected(self, seeds, methods):
+        provider = always_answer_provider()
+        with pytest.raises(InvalidInputError, match="at least one method and one seed"):
+            run_eval(self.items(1), provider, eval_config(provider.end_tokens), seeds, methods)
+
+    def test_duplicate_seeds_run_once_in_first_given_order(self):
+        provider = always_answer_provider()
+        config = eval_config(provider.end_tokens)
+        records = run_eval(self.items(2), provider, config, seeds=[3, 0, 3, 0], methods=["standard", "standard"])
+        assert [(r.item_id, r.seed) for r in records] == [("q0", 3), ("q0", 0), ("q1", 3), ("q1", 0)]
+
     def test_jobs_parallel_matches_serial_order(self):
         # the automaton's runs fork and take many steps, so concurrent runs on one
         # provider each extend their own last query

@@ -125,19 +125,60 @@ class TestNGram:
         ({(0,): {1: 0}}, "positive integers"),
         ({(0,): {1: 2.5}}, "positive integers"),
         ({(0,): {1: True}}, "positive integers"),
-    ], ids=["negative-id", "bool-id", "beyond-vocab", "zero-count", "float-count", "bool-count"])
-    def test_counts_checked_when_their_row_is_built(self, counts, message):
-        # a -1 would move the mass to the last id, and a True key would add to every id
-        model = NGramModel(2, 1.0, counts, 4, [3])
+        ({(0, 1): {1: 5}}, "tuple of 1 token ids"),
+        ({(): {1: 5}}, "tuple of 1 token ids"),
+        ({(-1,): {1: 5}}, "is negative"),
+        ({("a",): {1: 5}}, "not an integer"),
+        ({0: {1: 5}}, "tuple of 1 token ids"),
+        ({(0,): [1]}, "mapped to a dict"),
+    ], ids=["negative-id", "bool-id", "beyond-vocab", "zero-count", "float-count", "bool-count",
+            "long-context", "short-context", "negative-context-id", "string-context-id", "int-context",
+            "list-counts"])
+    def test_counts_checked_at_construction(self, counts, message):
+        # a -1 would move the mass to the last id, a True key would add to every
+        # id, and a context of the wrong length would be kept and never read
         with pytest.raises(InvalidInputError, match=message):
-            row(model, (), (0,))
+            NGramModel(2, 1.0, counts, 4, [3])
 
-    def test_bad_counts_end_a_run_with_provider_error(self):
-        model = NGramModel(2, 1.0, {(0,): {-1: 5}}, 4, [3])
-        config = DtsConfig(tau=math.inf, k=1, temperature=1.0, max_tokens=4, end_tokens=frozenset({3}))
-        with pytest.raises(ProviderError) as info:
-            run_dts(model, [0], config)
-        assert isinstance(info.value.__cause__, InvalidInputError)
+    def test_bad_counts_refused_before_any_run(self):
+        # the bad context is one no run from this prompt reads, yet the model is refused
+        counts = {(0,): {1: 5}, (2,): {-1: 5}}
+        with pytest.raises(InvalidInputError, match="is negative"):
+            NGramModel(2, 1.0, counts, 4, [3])
+
+    def test_numpy_ids_accepted(self):
+        plain = NGramModel(2, 1.0, {(0,): {1: 2, 2: 1}}, 4, [3])
+        numpy_ids = NGramModel(2, 1.0, {(np.int64(0),): {np.int64(1): 2, np.int32(2): 1}}, 4, [3])
+        assert numpy_ids.context_totals == plain.context_totals
+        for ctx in [(0,), (1,), (2,)]:
+            assert np.array_equal(row(numpy_ids, (), ctx).probs, row(plain, (), ctx).probs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_model_from_another_models_counts_has_identical_rows(self, seed):
+        model = random_ngram(seed)
+        copy = NGramModel(model.n, model.alpha, model.counts, model.vocab_size, model.end_tokens)
+        assert copy.counts == model.counts and copy.counts is not model.counts
+        for ctx in [(), (0,), (1, 2), (0, 0, 1), (2, 1, 0)]:
+            assert np.array_equal(row(copy, (), ctx).probs, row(model, (), ctx).probs)
+
+    @given(
+        corpus=st.lists(st.lists(st.integers(0, 4), max_size=12), min_size=1, max_size=5)
+        .filter(any),
+        n=st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_window_counts_equal_a_naive_count(self, corpus, n):
+        expected: dict = {}
+        for seq in corpus:
+            for i in range(len(seq) - n + 1):
+                ctx, token = tuple(seq[i:i + n - 1]), seq[i + n - 1]
+                expected.setdefault(ctx, {}).setdefault(token, 0)
+                expected[ctx][token] += 1
+        model = train_ngram(corpus, n, 1.0, vocab_size=6)
+        assert model.counts == expected
+        # first-seen order, of the contexts and of each context's tokens
+        assert [(ctx, list(c)) for ctx, c in model.counts.items()] == [(ctx, list(c)) for ctx, c in expected.items()]
+        assert model.context_totals == {ctx: sum(c.values()) for ctx, c in expected.items()}
 
     @pytest.mark.parametrize("n,alpha", [(0, 1.0), (2, 0.0)])
     def test_order_and_alpha_checked_before_counting(self, n, alpha):

@@ -16,7 +16,7 @@ from dts import (
     DtsConfig, PfsaModel, ScriptedModel, TokenDistribution, run_dts, run_standard, sample_token, top_k_tokens,
     train_ngram,
 )
-from dts.branching import _ARGMAX_MAX_K, _CUMSUM_MIN_VOCAB
+from dts.branching import _CUMSUM_MIN_VOCAB
 
 from support import FixedRng, random_ngram, random_pfsa
 
@@ -99,7 +99,7 @@ def rows(draw):
 @settings(max_examples=400, deadline=None)
 def test_top_k_matches_frozen_reference(dist, data):
     vocab = dist.vocab_size
-    k = data.draw(st.one_of(st.integers(1, min(vocab, _ARGMAX_MAX_K + 2)), st.integers(1, vocab)))
+    k = data.draw(st.one_of(st.integers(1, min(vocab, 10)), st.integers(1, vocab)))
     assert top_k_tokens(dist, k) == reference.top_k_tokens(dist, k)
 
 

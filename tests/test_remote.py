@@ -18,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 from dts import (
     DtsConfig,
     DtsError,
+    EvalItem,
     InvalidInputError,
+    NGramModel,
     PfsaModel,
     ProtocolError,
     ProviderServer,
@@ -26,6 +28,7 @@ from dts import (
     ScriptedModel,
     TransportError,
     run_dts,
+    run_eval,
 )
 from dts.providers import server as server_module
 
@@ -49,6 +52,33 @@ class TestStubServerRoundTrip:
             assert remote.vocab_size == 4
             assert remote.end_tokens == frozenset({3})
             assert remote.kind == "logprobs"
+
+    def test_handshake_carries_the_served_words(self, pfsa):
+        with ProviderServer(pfsa) as server:
+            assert RemoteProvider(server.url).vocab is None
+        model = NGramModel.from_text_corpus(["so think \\boxed{7}", "then think so"], n=2, alpha=1.0)
+        with ProviderServer(model) as server:
+            remote = RemoteProvider(server.url)
+        assert remote.vocab == model.vocab
+        assert remote.encode("then think \\boxed{7}") == model.encode("then think \\boxed{7}") != []
+        assert remote.decode([0, 1, 2]) == model.decode([0, 1, 2])
+
+    def test_loopback_eval_records_equal_the_local_eval(self):
+        # text prompts encode and outputs decode through the served words, so
+        # every record but its wall time is the local one
+        corpus = ["so think then \\boxed{4} <e>", "then wait so think \\boxed{2} <e>",
+                  "wait then think so then \\boxed{4} <e>", "think \\boxed{2} then so <e>"]
+        model = NGramModel.from_text_corpus(corpus, n=2, alpha=0.5)
+        items = [EvalItem(id=f"q{i}", prompt=prompt, answer=answer) for i, (prompt, answer) in
+                 enumerate([("so think", "4"), ("then wait", "2"), ("wait then think", "4"), ("think", "2")])]
+        config = DtsConfig(tau=1.2, k=2, temperature=1.0, max_tokens=12, end_tokens=model.end_tokens)
+        strip = lambda records: [dict(r.to_json_dict(), wall_time=None) for r in records]
+        local = run_eval(items, model, config, seeds=[0, 1, 2], methods=["dts", "standard"])
+        with ProviderServer(model) as server:
+            remote = run_eval(items, RemoteProvider(server.url), config, seeds=[0, 1, 2],
+                              methods=["dts", "standard"])
+        assert strip(remote) == strip(local)
+        assert any(r.correct for r in local) and all(r.error is None for r in local)
 
     def test_batch_order_and_values(self, pfsa):
         with ProviderServer(pfsa, kind="logprobs") as server:
@@ -260,6 +290,32 @@ class TestProtocolValidation:
     def test_bad_handshake_vocabulary_refused(self, change):
         with pytest.raises(ProtocolError, match="handshake"):
             self.run_step({**META, **change}, {})
+
+    def handshake(self, meta):
+        server, url = crafted_server(meta, {})
+        try:
+            return RemoteProvider(url)
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_handshake_words_read(self):
+        remote = self.handshake({**META, "vocab": ["yes", "<e>"]})
+        assert remote.vocab == ("yes", "<e>")
+        assert remote.encode("yes yes <e>") == [0, 0, 1]
+        assert remote.decode([0, 1]) == "yes <e>"
+
+    def test_handshake_without_words_read_as_before(self):
+        remote = self.handshake(META)
+        assert remote.vocab is None
+        assert remote.encode("yes 1") == [1]
+        assert remote.decode([0, 1]) == "0 1"
+
+    @pytest.mark.parametrize("vocab", [["yes"], ["yes", 1], "ab", {"yes": 0, "<e>": 1}, 5],
+                             ids=["wrong-length", "non-string", "string", "object", "number"])
+    def test_malformed_handshake_words_refused(self, vocab):
+        with pytest.raises(ProtocolError, match="handshake"):
+            self.handshake({**META, "vocab": vocab})
 
     def test_transient_drops_retried_with_attempt_count(self):
         step = {"distributions": [{"branch_id": 0, "values": HALF}]}
