@@ -8,6 +8,7 @@ next-token entropy reaches the threshold, otherwise sample a single token.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,12 @@ class BranchDecision:
     def branched(self) -> bool:
         """True only when the decision actually fans out (two or more tokens)."""
         return len(self.tokens) > 1
+
+    @functools.cached_property
+    def demoted(self) -> BranchDecision:
+        """The decision cut to its first, most probable token, as the budget
+        demotes it; built once per decision, so a kept decision's is shared."""
+        return BranchDecision(self.entropy, self.tokens[:1], self.logprobs[:1])
 
 
 def softmax(logits) -> TokenDistribution:
@@ -149,12 +156,21 @@ def branch_function(dist: TokenDistribution, config: DtsConfig, rng) -> BranchDe
     A high-entropy decision that selects fewer than two tokens (K = 1, or a
     support smaller than K) is reported as non-branching since nothing
     forked.
+
+    A top-K decision depends only on the row and ``k``, so it is made once
+    per row object and ``k`` and kept on ``dist``, as :func:`entropy` keeps
+    its value: the same row at any ``tau`` at or below its entropy gets the
+    same decision object back. A sampled decision is never kept, so every
+    call below the threshold makes its one draw.
     """
     h = entropy(dist)
     if h >= config.tau:
-        ranked = top_k_tokens(dist, config.k)
-        selected = [(t, lp) for t, lp in ranked if lp > float("-inf")]
-    else:
-        selected = [sample_token(dist, rng)]
-    tokens, logprobs = zip(*selected)
-    return BranchDecision(entropy=h, tokens=tokens, logprobs=logprobs)
+        memo = dist.__dict__.setdefault("_decision", {})
+        decision = memo.get(config.k)
+        if decision is None:
+            ranked = top_k_tokens(dist, config.k)
+            tokens, logprobs = zip(*[(t, lp) for t, lp in ranked if lp > float("-inf")])
+            decision = memo[config.k] = BranchDecision(h, tokens, logprobs)
+        return decision
+    token, logprob = sample_token(dist, rng)
+    return BranchDecision(h, (token,), (logprob,))

@@ -103,8 +103,8 @@ def _cmd_run(args) -> int:
     config = _build_config(args, provider)
     prompt = _prompt_tokens(args, provider)
     runner = run_standard if args.method == "standard" else run_dts
-    result = runner(provider, prompt, config)
-    print(json.dumps(result.to_json_dict(include_traces=args.trace)))
+    result = runner(provider, prompt, config, trace=args.trace)
+    print(json.dumps(result.to_json_dict()))
     return 0
 
 

@@ -283,6 +283,6 @@ class RunResult(JsonRecord):
     total_branch_events: int
     traces: tuple[StepTrace, ...] = field(default_factory=tuple)
 
-    def to_json_dict(self, include_traces: bool = True) -> dict[str, Any]:
-        # the traces are left out before encoding: an untraced dump costs nothing per trace
-        return _json_dict(self, skip=None if include_traces else "traces")
+    def to_json_dict(self) -> dict[str, Any]:
+        # only an untraced run has no traces, and its JSON has no "traces" key
+        return _json_dict(self, skip=None if self.traces else "traces")

@@ -49,23 +49,14 @@ def expand_frontier(
     kept: list[BranchState] = []
     forks: list[BranchState] = []
     for branch, decision in zip(branches, decisions):
-        for j, (token, logprob) in enumerate(zip(decision.tokens, decision.logprobs)):
-            if j == 0:
-                children, branch_id = kept, branch.branch_id
-                parent_id, fork_step = branch.parent_branch_id, branch.fork_step
-            else:
-                children, branch_id = forks, len(branches) + len(forks)
-                parent_id, fork_step = branch.branch_id, step
-            children.append(
-                BranchState(
-                    tokens=branch.tokens + (token,),
-                    cumulative_logprob=branch.cumulative_logprob + logprob,
-                    finished=token in end_tokens,
-                    branch_id=branch_id,
-                    parent_branch_id=parent_id,
-                    fork_step=fork_step,
-                )
-            )
+        tokens, logprobs = decision.tokens, decision.logprobs
+        token = tokens[0]
+        kept.append(BranchState(branch.tokens + (token,), branch.cumulative_logprob + logprobs[0],
+                                token in end_tokens, branch.branch_id, branch.parent_branch_id, branch.fork_step))
+        if len(tokens) > 1:
+            for token, logprob in zip(tokens[1:], logprobs[1:]):
+                forks.append(BranchState(branch.tokens + (token,), branch.cumulative_logprob + logprob,
+                                         token in end_tokens, len(branches) + len(forks), branch.branch_id, step))
     return kept + forks
 
 
@@ -81,10 +72,22 @@ def apply_budget(
     probable paths win fan-out under contention. The walk reserves one child
     for every branch not yet visited; a branching decision survives only if
     its full fan-out plus those reservations fits in ``max_branches``. A
-    demoted decision keeps its single most probable token.
+    demoted decision keeps its single most probable token
+    (:attr:`BranchDecision.demoted`).
+
+    Every decision holds at least one token, so the children committed
+    before a branch are at least the branches walked before it, and a fork
+    of ``t`` tokens fits only if ``len(branches) - 1 + t <= max_branches``.
+    When no branching decision passes that test, as on a full frontier,
+    every one of them is demoted without the sort and the walk; the result
+    is the walk's.
     """
     if len(decisions) != len(branches):
         raise InvalidInputError(f"{len(decisions)} decisions for {len(branches)} branches")
+    # the most tokens a fork can hold whatever the walk order
+    room = max_branches - len(branches) + 1
+    if not any(1 < len(d.tokens) <= room for d in decisions):
+        return [d.demoted if d.branched else d for d in decisions]
     # a stable sort leaves tied branches in position order
     order = sorted(range(len(branches)), key=lambda i: -branches[i].cumulative_logprob)
     result = list(decisions)
@@ -93,8 +96,7 @@ def apply_budget(
         decision = result[pos]
         remaining = len(order) - walked - 1
         if decision.branched and committed + len(decision.tokens) + remaining > max_branches:
-            decision = BranchDecision(decision.entropy, decision.tokens[:1], decision.logprobs[:1])
-            result[pos] = decision
+            decision = result[pos] = decision.demoted
         committed += len(decision.tokens)
     return result
 
@@ -139,7 +141,7 @@ def distributions_at(provider, prompt, sequences, step, temperature):
         return [softmax(np.log(d.probs) / temperature) for d in dists]
 
 
-def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) -> RunResult:
+def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None, *, trace: bool = False) -> RunResult:
     """Entropy-gated tree search with lockstep expansion and early stop.
 
     Each step batches one provider call over all branches, decides per
@@ -149,6 +151,10 @@ def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) ->
     order, one per non-branching decision. If no branch finishes within
     ``config.max_tokens`` steps the most probable branch is returned with
     ``terminated=False``.
+
+    ``trace=True`` records one :class:`StepTrace` per branch per step in
+    ``RunResult.traces``; an untraced run builds none and returns
+    ``traces=()``. Tracing changes no output and no draw.
 
     ``rng`` is an instrumentation hook; by default a fresh stream seeded
     from ``config.seed`` is used.
@@ -168,16 +174,10 @@ def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) ->
         decisions = [branch_function(d, config, rng) for d in dists]
         decisions = apply_budget(branches, decisions, config.max_branches)
         branch_events += sum(1 for d in decisions if d.branched)
-        traces.extend(
-            StepTrace(
-                step=step,
-                branch_id=b.branch_id,
-                entropy=d.entropy,
-                branched=d.branched,
-                chosen_tokens=d.tokens,
+        if trace:
+            traces.extend(
+                StepTrace(step, b.branch_id, d.entropy, d.branched, d.tokens) for b, d in zip(branches, decisions)
             )
-            for b, d in zip(branches, decisions)
-        )
         branches = expand_frontier(branches, decisions, step, config.end_tokens)
         finished = [b for b in branches if b.finished]
         if finished:
@@ -194,11 +194,13 @@ def run_dts(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) ->
     )
 
 
-def run_standard(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None) -> RunResult:
+def run_standard(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=None, *,
+                 trace: bool = False) -> RunResult:
     """Single-path ancestral sampling baseline.
 
     One sampled token per step, exactly one uniform draw per emitted token,
-    until an end token or the length cap.
+    until an end token or the length cap. ``trace=True`` records each step's
+    entropy and token as a :class:`StepTrace`; an untraced run builds none.
     """
     prompt = _validate_run_inputs(provider, prompt, config)
     if rng is None:
@@ -209,13 +211,11 @@ def run_standard(provider, prompt: Sequence[TokenId], config: DtsConfig, rng=Non
     traces: list[StepTrace] = []
     for step in range(config.max_tokens):
         dist = distributions_at(provider, prompt, [tokens], step, config.temperature)[0]
-        h = entropy(dist)
         token, token_logprob = sample_token(dist, rng)
         tokens = tokens + (token,)
         logprob += token_logprob
-        traces.append(
-            StepTrace(step=step, branch_id=0, entropy=h, branched=False, chosen_tokens=(token,))
-        )
+        if trace:
+            traces.append(StepTrace(step, 0, entropy(dist), False, (token,)))
         if token in config.end_tokens:
             break
 

@@ -48,7 +48,10 @@ class DistributionProvider(abc.ABC):
         """Whitespace tokenization against the provider vocabulary.
 
         Words not in the vocabulary fall back to integer literals; anything
-        else is dropped, so free-form prompt text never aborts a run.
+        else is dropped, so free-form prompt text never aborts a run. A
+        provider without words reads only integer literals: any other word
+        raises ``InvalidInputError``, since dropping them all would start the
+        run from an empty prompt.
         """
         mapping = self._word_ids
         ids: list[TokenId] = []
@@ -59,6 +62,8 @@ class DistributionProvider(abc.ABC):
             try:
                 token = int(word)
             except ValueError:
+                if self.vocab is None:
+                    raise InvalidInputError(f"prompt word {word!r} is not a token id, and the provider has no words")
                 continue
             if 0 <= token < self.vocab_size:
                 ids.append(token)

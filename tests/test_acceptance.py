@@ -186,7 +186,7 @@ def test_criterion_06_budget_safety_stress():
             tau=0.25, k=min(k, inner.vocab_size), temperature=1.0, max_tokens=18,
             end_tokens=inner.end_tokens, max_branches=budget, seed=i,
         )
-        result = run_dts(provider, [], config)
+        result = run_dts(provider, [], config, trace=True)
         if result.peak_frontier_size > budget:
             violations.append((i, "budget"))
             continue

@@ -188,6 +188,25 @@ class TestRowMemo:
                 top_k_tokens(d, k)
 
 
+class TestDecisionMemo:
+    """A top-K decision is made once per row object and K; a sampled one is never kept."""
+
+    def test_same_row_and_k_give_the_same_decision_at_any_tau_up_to_the_entropy(self):
+        d = dist(0.1, 0.3, 0.05, 0.25, 0.3)
+        h = entropy(d)
+        first = branch_function(d, config(tau=h, k=2), FixedRng([]))
+        assert first.tokens == (1, 4)
+        assert branch_function(d, config(tau=h / 2, k=2), FixedRng([])) is first
+        assert branch_function(d, config(tau=0.0, k=3), FixedRng([])).tokens == (1, 4, 3)
+
+    def test_a_sampled_row_draws_on_every_call(self):
+        d = dist(0.1, 0.3, 0.05, 0.25, 0.3)
+        branch_function(d, config(tau=0.0, k=2), FixedRng([]))
+        rng = FixedRng([0.05, 0.95, 0.5])
+        tokens = [branch_function(d, config(tau=math.inf, k=2), rng).tokens for _ in range(3)]
+        assert rng.draws == 3 and tokens == [(0,), (4,), (3,)]
+
+
 class TestSampleToken:
     def test_one_hot_any_draw(self):
         for u in (0.0, 0.3, 0.999):

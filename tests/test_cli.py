@@ -125,6 +125,14 @@ class TestRun:
         assert code == 1 and out == ""
         assert err.startswith("error: temperature must be finite")
 
+    def test_text_prompt_on_a_provider_without_words_is_clean_error(self, capsys, pfsa_file):
+        # dropping every word would start the run from an empty prompt
+        argv = ["run", "--provider", "pfsa", "--model-file", pfsa_file, "--max-tokens", "4"]
+        code, out, err = run_cli(capsys, argv + ["--prompt", "0 then 1"])
+        assert code == 1 and out == ""
+        assert err == "error: prompt word 'then' is not a token id, and the provider has no words\n"
+        assert run_cli(capsys, argv + ["--prompt", "0 1"])[0] == 0
+
     @pytest.mark.parametrize("provider,flag,value", [
         ("pfsa", "--endpoint", "http://127.0.0.1:9"),
         ("pfsa", "--corpus", "/nonexistent"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,16 +19,17 @@ from support import NOT_ID_SEQUENCE_NAMES, NOT_ID_SEQUENCES
 
 
 def test_run_result_traces_optional_in_json():
+    # an untraced run's empty traces are left out of its JSON
     result = RunResult(
         output=BranchState((1,), -0.5, True, 0),
         terminated=True,
         steps_executed=1,
         peak_frontier_size=1,
         total_branch_events=0,
-        traces=(StepTrace(0, 0, 0.1, False, (1,)),),
     )
-    assert "traces" not in result.to_json_dict(include_traces=False)
-    assert len(result.to_json_dict()["traces"]) == 1
+    assert "traces" not in result.to_json_dict()
+    traced = dataclasses.replace(result, traces=(StepTrace(0, 0, 0.1, False, (1,)),))
+    assert len(traced.to_json_dict()["traces"]) == 1
 
 
 def test_distribution_validation():

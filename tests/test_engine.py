@@ -264,7 +264,7 @@ class TestRunDts:
         assert result.steps_executed == 5
 
     def test_trace_shape_matches_run(self):
-        result = run_dts(two_fork_scripted(), [], config())
+        result = run_dts(two_fork_scripted(), [], config(), trace=True)
         fork_traces = [t for t in result.traces if t.branched]
         assert len(fork_traces) == 2
         assert all(len(t.chosen_tokens) == 2 for t in fork_traces)
@@ -312,7 +312,7 @@ class TestRunDts:
         provider = ScriptedModel([], [2.0, 0.0, 1.0], end_tokens=[2])
         entropies = []
         for t in (0.5, 1.0, 4.0):
-            result = run_dts(provider, [], config(tau=math.inf, temperature=t, end_tokens=frozenset({2})))
+            result = run_dts(provider, [], config(tau=math.inf, temperature=t, end_tokens=frozenset({2})), trace=True)
             entropies.append(result.traces[0].entropy)
         assert entropies[0] < entropies[1] < entropies[2]
         assert entropies[1] == entropy(row(provider, (), ()))
@@ -353,9 +353,9 @@ class TestRunDts:
     def test_determinism_including_traces(self):
         provider = random_ngram(3)
         cfg = config(end_tokens=frozenset({provider.vocab_size - 1}), tau=0.4, seed=9)
-        a = run_dts(provider, [0], cfg)
-        b = run_dts(provider, [0], cfg)
-        assert a == b
+        a = run_dts(provider, [0], cfg, trace=True)
+        b = run_dts(provider, [0], cfg, trace=True)
+        assert a.traces and a == b
 
     def test_draw_order_is_ascending_branch_id(self):
         # step 0 forks into ids 0 and 1; step 1 samples both. The first
@@ -395,7 +395,7 @@ class TestRunDts:
         tok0, tok1 = tokens_for(seed)
         cfg = config(tau=0.75, k=2, end_tokens=frozenset({3}), max_tokens=2, seed=seed)
 
-        result = run_dts(provider, [], cfg)
+        result = run_dts(provider, [], cfg, trace=True)
         step1 = sorted((t for t in result.traces if t.step == 1), key=lambda t: t.branch_id)
         assert [t.branch_id for t in step1] == [0, 1]
         assert [t.chosen_tokens[0] for t in step1] == [tok0, tok1]
@@ -462,7 +462,7 @@ class TestEquivalenceAndBudget:
             tau=0.2, k=3, max_branches=3,
             end_tokens=frozenset({provider.vocab_size - 1}), seed=5, max_tokens=16,
         )
-        result = run_dts(provider, [], cfg)
+        result = run_dts(provider, [], cfg, trace=True)
         demoted = 0
         for _, rows in replay_steps(result.traces):
             for trace, prefix in rows:
@@ -522,7 +522,7 @@ def test_benchmark_hooks_are_module_globals(monkeypatch):
     for name in ("branch_function", "expand_frontier", "apply_budget", "entropy", "sample_token"):
         monkeypatch.setattr(engine, name, counting(name))
 
-    result = run_dts(two_fork_scripted(), [], config())
+    result = run_dts(two_fork_scripted(), [], config(), trace=True)
     assert calls == {
         "branch_function": len(result.traces),
         "expand_frontier": result.steps_executed,
@@ -534,7 +534,7 @@ def test_benchmark_hooks_are_module_globals(monkeypatch):
     assert sum(d.branched for _, decisions, *_ in budget_args for d in decisions) == 2
 
     calls.clear()
-    result = run_standard(two_fork_scripted(), [], config())
+    result = run_standard(two_fork_scripted(), [], config(), trace=True)
     assert calls == {"entropy": result.steps_executed, "sample_token": result.steps_executed}
 
 

@@ -38,9 +38,9 @@ RUN_TRACES = (
 def test_run_result_bytes():
     model = two_state_pfsa()
     config = DtsConfig(tau=0.5, k=2, temperature=1.0, max_tokens=6, end_tokens=model.end_tokens, seed=4)
-    result = run_dts(model, [0], config)
-    assert json.dumps(result.to_json_dict()) == "{" + RUN_OUTPUT + ", " + RUN_TRACES + "}"
-    assert json.dumps(result.to_json_dict(include_traces=False)) == "{" + RUN_OUTPUT + "}"
+    traced = run_dts(model, [0], config, trace=True)
+    assert json.dumps(traced.to_json_dict()) == "{" + RUN_OUTPUT + ", " + RUN_TRACES + "}"
+    assert json.dumps(run_dts(model, [0], config).to_json_dict()) == "{" + RUN_OUTPUT + "}"
 
 
 def test_enumerated_path_bytes():

@@ -4,6 +4,7 @@ Any change to the engine, the decoding math or the provider contract must
 leave every run's output, traces and counters byte-identical.
 """
 
+import functools
 import json
 import math
 
@@ -13,14 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 import reference_engine as reference
 from dts import (
-    DtsConfig, PfsaModel, ScriptedModel, TokenDistribution, run_dts, run_standard, sample_token, top_k_tokens,
-    train_ngram,
+    BranchDecision, BranchState, DtsConfig, PfsaModel, ScriptedModel, StepTrace, TokenDistribution, apply_budget,
+    engine, run_dts, run_standard, sample_token, top_k_tokens, train_ngram,
 )
 from dts.branching import _CUMSUM_MIN_VOCAB
 
 from support import FixedRng, random_ngram, random_pfsa
 
-LIVE = {"dts": run_dts, "standard": run_standard}
+# the frozen engine always traces, so the live side is asked to
+LIVE = {"dts": functools.partial(run_dts, trace=True), "standard": functools.partial(run_standard, trace=True)}
 FROZEN = {"dts": reference.run_dts, "standard": reference.run_standard}
 
 
@@ -79,6 +81,78 @@ def test_engine_matches_frozen_reference(model, method, tau, k_frac, max_branche
     )
     prompt = [t % model.vocab_size for t in range(prompt_len)]
     assert_same(method, model, prompt, config)
+
+
+@given(
+    model=models,
+    method=st.sampled_from(["dts", "standard"]),
+    tau=st.one_of(st.floats(min_value=0.0, max_value=2.0), st.just(math.inf)),
+    k_frac=st.floats(min_value=0.0, max_value=1.0),
+    max_branches=st.integers(1, 32),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_untraced_run_is_the_traced_run_without_traces(model, method, tau, k_frac, max_branches, seed):
+    config = DtsConfig(
+        tau=tau, k=1 + int(k_frac * (model.vocab_size - 1)), temperature=1.0, max_tokens=20,
+        end_tokens=model.end_tokens, max_branches=max_branches, seed=seed,
+    )
+    traced = LIVE[method](model, [], config).to_json_dict()
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return StepTrace(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "StepTrace", counted)
+        untraced = {"dts": run_dts, "standard": run_standard}[method](model, [], config)
+    assert built == [] and untraced.traces == ()
+    assert len(traced.pop("traces")) >= untraced.steps_executed
+    assert json.dumps(untraced.to_json_dict()) == json.dumps(traced)
+
+
+@st.composite
+def budget_cases(draw):
+    """A frontier with tied scores, decisions of one to four tokens each and a
+    budget it fits; a third of the frontiers are full, so no fork fits."""
+    n = draw(st.integers(1, 12))
+    max_branches = n + draw(st.sampled_from([0, 0, 0, 1, 2, 3, 5, 40]))
+    scores = st.sampled_from([0.0, -0.5, -1.0, -2.5])
+    branches = [BranchState((), draw(scores), False, i) for i in range(n)]
+    decisions = []
+    for _ in range(n):
+        width = draw(st.integers(1, 4))
+        logprobs = sorted(draw(st.lists(st.floats(-5.0, 0.0), min_size=width, max_size=width)), reverse=True)
+        decisions.append(BranchDecision(1.0, tuple(range(width)), tuple(logprobs)))
+    return branches, decisions, max_branches
+
+
+@given(case=budget_cases())
+@settings(max_examples=300, deadline=None)
+def test_budget_matches_frozen_reference(case):
+    branches, decisions, max_branches = case
+    live = apply_budget(branches, decisions, max_branches)
+    frozen = reference.apply_budget(branches, decisions, max_branches)
+    assert [(d.tokens, d.logprobs) for d in live] == [(d.tokens, d.logprobs) for d in frozen]
+    # a decision is kept as it is, or replaced by its one demotion
+    assert all(out is d or out is d.demoted for out, d in zip(live, decisions))
+
+
+@pytest.mark.parametrize("max_branches,width", [(6, 2), (7, 3)])
+def test_budget_demotes_without_sorting_when_no_fork_fits(monkeypatch, max_branches, width):
+    # six branches: a fork of `width` tokens would need 5 + width places
+    branches = [BranchState((), -float(i % 3), False, i) for i in range(6)]
+    decisions = [BranchDecision(1.0, tuple(range(i, i + width)), (-0.5,) * width) for i in range(6)]
+    expected = reference.apply_budget(branches, decisions, max_branches)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the budget sorted a frontier on which no fork fits")
+
+    monkeypatch.setattr(engine, "sorted", no_sort, raising=False)
+    live = apply_budget(branches, decisions, max_branches)
+    assert [d.tokens for d in live] == [d.tokens for d in expected] == [(i,) for i in range(6)]
+    assert all(out is d.demoted for out, d in zip(live, decisions))
 
 
 @st.composite
@@ -142,7 +216,7 @@ def test_long_tree_run_matches_frozen_reference():
     model = long_tree_pfsa()
     config = DtsConfig(tau=3.78, k=2, temperature=1.0, max_tokens=5000, end_tokens=model.end_tokens,
                        max_branches=4, seed=11)
-    result = run_dts(model, [], config)
+    result = run_dts(model, [], config, trace=True)
     assert (result.steps_executed, result.peak_frontier_size) == (5000, 4)
     assert result.total_branch_events > 0
     assert json.dumps(result.to_json_dict()) == json.dumps(reference.run_dts(model, [], config).to_json_dict())

@@ -308,7 +308,10 @@ class TestProtocolValidation:
     def test_handshake_without_words_read_as_before(self):
         remote = self.handshake(META)
         assert remote.vocab is None
-        assert remote.encode("yes 1") == [1]
+        assert remote.encode("0 1") == [0, 1]
+        # without words, a word that is not an id is refused rather than dropped
+        with pytest.raises(InvalidInputError, match="'yes' is not a token id"):
+            remote.encode("yes 1")
         assert remote.decode([0, 1]) == "0 1"
 
     @pytest.mark.parametrize("vocab", [["yes"], ["yes", 1], "ab", {"yes": 0, "<e>": 1}, 5],
